@@ -39,6 +39,8 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     """Per-dimension noise standard deviation for BPSK at a given Eb/N0."""
     if rate <= 0:
         raise ValueError("rate must be positive")
+    if not np.isfinite(ebn0_db):
+        raise ValueError(f"Eb/N0 must be finite, got {ebn0_db}")
     return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
 
 

@@ -118,6 +118,15 @@ def _fail(msg: str) -> int:
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
+
+def _bool_key(raw: dict, key: str, default: str) -> bool:
+    word = raw.get(key, default).lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"{key} must be one of {', '.join(_BOOL_WORDS)}, "
+                         f"got {word!r}")
+    return _BOOL_WORDS[word]
+
+
 _SIM_KEYS = {"dir", "h", "t", "decoder", "iterations", "normalization",
              "early_stop", "ell", "osd_order", "gaed_powers", "ebn0_db",
              "min_frame_errors", "max_frames", "seed", "workers",
@@ -155,7 +164,7 @@ def _cmd_simulate(args) -> int:
             kind=kind,
             iterations=int(raw.get("iterations", "20")),
             normalization=float(raw.get("normalization", "0.75")),
-            early_stop=_BOOL_WORDS[raw.get("early_stop", "true").lower()],
+            early_stop=_bool_key(raw, "early_stop", "true"),
             ell=int(raw.get("ell", "3")),
             osd_order=int(raw.get("osd_order", "3")),
             powers=powers)
@@ -178,14 +187,19 @@ def _cmd_simulate(args) -> int:
             max_frames=int(raw.get("max_frames", "1000000")),
             seed=int(raw.get("seed", "0")),
             workers=int(raw.get("workers", "1")),
-            random_codewords=_BOOL_WORDS[
-                raw.get("random_codewords", "false").lower()])
+            random_codewords=_bool_key(raw, "random_codewords", "false"))
+        out = (base / raw["out"]).resolve() if "out" in raw else None
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
+    # a bad output path must fail before the sweep, not throw it away after
+    if out is not None and not out.parent.is_dir():
+        return _fail(f"output directory {out.parent} does not exist")
+    if out is not None and out.is_dir():
+        return _fail(f"output path {out} is a directory")
     records = run_sweep(code, spec, cfg, aut=aut)
     text = format_records(records)
-    if "out" in raw:
-        (base / raw["out"]).resolve().write_text(text)
+    if out is not None:
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     return 0

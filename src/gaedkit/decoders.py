@@ -1,10 +1,12 @@
 """Decoders: box-plus preprocessing, min-sum BP, ensembles, OSD, ML.
 
-All iterative decoding runs through one batched dense kernel so a single
-frame and a batch member follow bit-identical arithmetic. Ensemble paths
-preprocess the channel LLRs through an automorphism (box-plus per output
-coordinate), decode independently, map the hard decisions back through the
-inverse matrix, and keep the most likely candidate.
+All iterative decoding runs through one batched kernel over the edge lists
+of a TannerGraph, built once per parity-check matrix: each iteration costs
+the number of edges, not checks * n, and a single frame and a batch member
+follow bit-identical arithmetic. Ensemble paths preprocess the channel LLRs
+through an automorphism (box-plus per output coordinate), decode
+independently, map the hard decisions back through the inverse matrix, and
+keep the most likely candidate.
 """
 
 from __future__ import annotations
@@ -122,22 +124,65 @@ class DecodeOutcome:
         object.__setattr__(self, "hard_bits", bits)
 
 
-def _check_mask(h: BitMatrix) -> np.ndarray:
-    if h.rows < 1 or h.cols < 1:
-        raise ValueError("empty Tanner graph")
-    mask = h.to_numpy().astype(bool)
-    if not mask.any(axis=1).all():
-        raise ValueError("parity-check matrix has an empty row")
-    return mask
+@dataclass(frozen=True, eq=False)
+class TannerGraph:
+    """Edge lists of a parity-check matrix, in the layout the kernel reads.
+
+    Row c of `check_vars` holds check c's variables in ascending column
+    order, padded to the largest row degree with the phantom variable n;
+    `check_valid` marks the real entries. Row v of `var_slots` holds
+    variable v's edges as flat indices into the (checks, width) slot grid,
+    in ascending check order, padded with `checks * width`, one past the
+    grid.
+    """
+
+    n: int
+    check_vars: np.ndarray
+    check_valid: np.ndarray
+    var_slots: np.ndarray
+
+    @classmethod
+    def from_pcm(cls, h: BitMatrix) -> "TannerGraph":
+        if h.rows < 1 or h.cols < 1:
+            raise ValueError("empty Tanner graph")
+        mask = h.to_numpy().astype(bool)
+        row_deg = mask.sum(axis=1)
+        if not row_deg.all():
+            raise ValueError("parity-check matrix has an empty row")
+        checks, n = mask.shape
+        width = int(row_deg.max())
+        valid = np.arange(width) < row_deg[:, None]
+        rows, cols = np.nonzero(mask)       # row-major: ascending columns
+        check_vars = np.full((checks, width), n, dtype=np.intp)
+        check_vars[valid] = cols
+        col_deg = mask.sum(axis=0)
+        by_var = np.lexsort((rows, cols))   # per column, ascending checks
+        var_slots = np.full((n, int(col_deg.max())), checks * width,
+                            dtype=np.intp)
+        var_slots[np.arange(var_slots.shape[1]) < col_deg[:, None]] = \
+            np.flatnonzero(valid)[by_var]
+        for a in (check_vars, valid, var_slots):
+            a.flags.writeable = False
+        return cls(n, check_vars, valid, var_slots)
+
+    @property
+    def checks(self) -> int:
+        return self.check_vars.shape[0]
 
 
-def bp_min_sum_batch(mask: np.ndarray, llrs: np.ndarray, cfg: BpConfig
+def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding normalized min-sum over a dense (checks, n) adjacency mask.
+    """Flooding normalized min-sum over the edges of a Tanner graph.
 
     Returns (hard_bits, is_codeword, iterations_used) arrays over the batch.
     Converged frames drop out of the working set when early_stop is on;
     otherwise every frame runs all iterations and reports its final state.
+
+    Messages live on the graph's (checks, width) slot grid with frames on
+    the last axis, so each step costs the number of slots, not checks * n.
+    Each variable adds its check messages to +0.0 one slot at a time in
+    ascending check order: bit for bit the sequential sum over all checks
+    of a dense (checks, n) layout that holds zeros off the edges.
     """
     n_frames, n = llrs.shape
     out_hard = np.empty((n_frames, n), dtype=np.uint8)
@@ -145,47 +190,65 @@ def bp_min_sum_batch(mask: np.ndarray, llrs: np.ndarray, cfg: BpConfig
     out_iters = np.full(n_frames, cfg.iterations, dtype=np.int64)
     if n_frames == 0:
         return out_hard, out_valid, out_iters
+    if n != graph.n:
+        raise ValueError("LLR length does not match the graph")
+    check_vars, var_slots = graph.check_vars, graph.var_slots
+    checks, width = check_vars.shape
+    slots = checks * width
     idx = np.arange(n_frames)
-    chan = llrs
-    # v->c messages start as the channel LLRs on every edge
-    v_msg = np.where(mask[None], chan[:, None, :], 0.0)
-    col_ids = np.arange(n)
+    # Row n is the phantom variable that padding slots read. Its LLR is
+    # +inf, so its messages are positive and its hard decision is 0. Its
+    # magnitude (+inf, then +clamp once clipped) is never below a real
+    # message's, so it changes only the empty "other" set of a degree-1
+    # check, whose message saturates at the clamp either way.
+    chan = np.concatenate((llrs.T, np.full((1, n_frames), np.inf)))
+    v_msg = chan[check_vars]
     for it in range(1, cfg.iterations + 1):
-        mags = np.where(mask[None], np.abs(v_msg), np.inf)
-        first = mags.argmin(axis=2)
-        min1 = np.take_along_axis(mags, first[:, :, None], 2)[:, :, 0]
-        np.put_along_axis(mags, first[:, :, None], np.inf, 2)
-        min2 = mags.min(axis=2)
-        neg = np.signbit(v_msg) & mask[None]
-        row_sign = np.where((neg.sum(axis=2) & 1).astype(bool), -1.0, 1.0)
-        ext_sign = np.where(neg, -row_sign[:, :, None], row_sign[:, :, None])
-        # min over the other neighbors; saturates at the clamp for rows of
-        # degree 1, whose "other" set is empty
-        ext_mag = np.minimum(
-            np.where(col_ids[None, None, :] == first[:, :, None],
-                     min2[:, :, None], min1[:, :, None]), cfg.clamp)
-        c_msg = np.where(mask[None], cfg.normalization * ext_sign * ext_mag, 0.0)
-        total = chan + c_msg.sum(axis=1)
+        frames = chan.shape[1]
+        mags = np.abs(v_msg)
+        min1 = mags.min(axis=1)
+        at_min = mags == min1[:, None]
+        # the minimum over the other slots is min2 on a slot holding min1
+        # and min1 elsewhere; on a tie for min1, min2 equals min1
+        ties = at_min.sum(axis=1) > 1
+        min2 = np.where(ties, min1, np.where(at_min, np.inf, mags).min(axis=1))
+        neg = np.signbit(v_msg)
+        # the product of the other signs is negative where a slot's own sign
+        # differs from the parity of the check's negative messages
+        flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
+        # row `slots` of the flat grid is the zero that padded variable
+        # slots read
+        c_flat = np.empty((slots + 1, frames))
+        c_flat[slots] = 0.0
+        c_msg = c_flat[:slots].reshape(checks, width, frames)
+        np.minimum(np.where(at_min, min2[:, None], min1[:, None]), cfg.clamp,
+                   out=c_msg)
+        # negation is exact: bit for bit (normalization * sign) * magnitude
+        c_msg *= cfg.normalization
+        np.negative(c_msg, where=flip, out=c_msg)
+        acc = np.zeros_like(chan)
+        for col in var_slots.T:
+            acc[:n] += c_flat[col]
+        total = chan + acc
         hard = total < 0.0
-        parity = (hard[:, None, :] & mask[None]).sum(axis=2) & 1
-        valid = ~parity.any(axis=1)
+        valid = ~np.logical_xor.reduce(hard[check_vars], axis=1).any(axis=0)
         if it == cfg.iterations:
-            out_hard[idx] = hard
+            out_hard[idx] = hard[:n].T
             out_valid[idx] = valid
             break
         if cfg.early_stop and valid.any():
             done_idx = idx[valid]
-            out_hard[done_idx] = hard[valid]
+            out_hard[done_idx] = hard[:n, valid].T
             out_valid[done_idx] = True
             out_iters[done_idx] = it
             live = ~valid
             if not live.any():
                 break
-            idx, chan = idx[live], chan[live]
-            total, c_msg = total[live], c_msg[live]
-        v_msg = np.where(mask[None],
-                         np.clip(total[:, None, :] - c_msg,
-                                 -cfg.clamp, cfg.clamp), 0.0)
+            idx, chan = idx[live], chan[:, live]
+            total, c_msg = total[:, live], c_msg[:, :, live]
+        v_msg = total[check_vars]
+        v_msg -= c_msg
+        np.clip(v_msg, -cfg.clamp, cfg.clamp, out=v_msg)
     return out_hard, out_valid, out_iters
 
 
@@ -195,10 +258,10 @@ def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
 
 def bp_min_sum(h: BitMatrix, llrs: LlrVector, cfg: BpConfig) -> DecodeOutcome:
     """Decode one frame; h may carry redundant rows."""
-    mask = _check_mask(h)
+    graph = TannerGraph.from_pcm(h)
     if h.cols != len(llrs):
         raise ValueError("LLR length does not match the matrix")
-    hard, valid, iters = bp_min_sum_batch(mask, llrs.values[None, :], cfg)
+    hard, valid, iters = bp_min_sum_batch(graph, llrs.values[None, :], cfg)
     corr = _correlation(hard[0], llrs.values)
     return DecodeOutcome(hard[0], bool(valid[0]), int(iters[0]), 0, float(corr))
 
@@ -224,7 +287,7 @@ class GaedEnsemble:
             if validate and not verify_automorphism(code, a.matrix):
                 raise ValueError("matrix is not an automorphism of the code")
         self.code = code
-        self.mask = _check_mask(code.h)
+        self.graph = TannerGraph.from_pcm(code.h)
         self.plans = [PreprocessPlan(a.matrix) for a in auts]
         self.inv_maps = [np.ascontiguousarray(
             a.inverse.to_numpy().astype(np.int32).T) for a in auts]
@@ -246,7 +309,7 @@ class GaedEnsemble:
         corrs = np.empty((paths, n_frames), dtype=np.float64)
         for p, (plan, inv_map) in enumerate(zip(self.plans, self.inv_maps)):
             pre = plan.apply(llrs, cfg.clamp)
-            hard, _, used = bp_min_sum_batch(self.mask, pre, cfg)
+            hard, _, used = bp_min_sum_batch(self.graph, pre, cfg)
             mapped = ((hard.astype(np.int32) @ inv_map) & 1).astype(np.uint8)
             syndrome = (mapped.astype(np.int32) @ self.h_t) & 1
             hards[p] = mapped

@@ -12,14 +12,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import awgn_llr_batch, LlrVector
 from .codes import DualWordPool, LinearCode, low_weight_dual_search
-from .decoders import (BpConfig, GaedEnsemble, _check_mask, bp_min_sum_batch,
+from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
                        osd_decode, power_ensemble, stack_redundant_pcm)
 from .gf2 import BitMatrix
 
@@ -88,6 +88,8 @@ class SweepConfig:
         pts = tuple(float(x) for x in self.ebn0_db)
         if not pts:
             raise ValueError("need at least one Eb/N0 point")
+        if not all(isfinite(x) for x in pts):
+            raise ValueError("Eb/N0 points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("Eb/N0 points must be strictly increasing")
         if self.min_frame_errors < 1:
@@ -150,25 +152,27 @@ class _Runtime:
                             normalization=payload["normalization"],
                             early_stop=payload["early_stop"])
         kind = payload["kind"]
+        graph = None
         if kind == "bp":
-            mask = _check_mask(self.code.h)
+            graph = TannerGraph.from_pcm(self.code.h)
         elif kind == "gaed":
             aut = GeneralizedAutomorphism.from_matrix(
                 BitMatrix(payload["t_rows"], n))
             self.ens = GaedEnsemble(self.code, power_ensemble(
                 aut, payload["powers"]))
-            mask = self.ens.mask
+            graph = self.ens.graph
         elif kind == "rr":
             pool = DualWordPool(tuple(payload["pool_words"]), n, True)
-            mask = _check_mask(stack_redundant_pcm(self.code, pool,
-                                                   payload["ell"]))
-        else:
-            mask = self.code.h_numpy().astype(bool)
+            graph = TannerGraph.from_pcm(stack_redundant_pcm(
+                self.code, pool, payload["ell"]))
         self.kind = kind
-        self.mask = mask
+        self.graph = graph
         self.osd_order = payload["osd_order"]
+        # batch boundaries set the RNG draw order of random-codeword sweeps,
+        # so the batch stays sized by dense checks * n cells
+        checks = self.code.h.rows if graph is None else graph.checks
         self.batch_frames = max(
-            32, _DECODE_CELL_BUDGET // max(1, mask.shape[0] * n))
+            32, _DECODE_CELL_BUDGET // max(1, checks * n))
 
     def _decode(self, llrs: np.ndarray) -> np.ndarray:
         if self.kind == "gaed":
@@ -179,7 +183,7 @@ class _Runtime:
                 out[f] = osd_decode(self.code, LlrVector(llrs[f]),
                                     self.osd_order).hard_bits
             return out
-        return bp_min_sum_batch(self.mask, llrs, self.cfg)[0]
+        return bp_min_sum_batch(self.graph, llrs, self.cfg)[0]
 
     def run_chunk(self, ebn0_db: float, frames: int,
                   rng: np.random.Generator,

@@ -40,6 +40,9 @@ def test_noise_sigma_formula():
     assert got == pytest.approx(math.sqrt(1.0 / (1.5 * 10.0 ** 0.2)), abs=1e-15)
     with pytest.raises(ValueError):
         noise_sigma(1.0, 0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            noise_sigma(bad, 0.5)
 
 
 def test_bit_to_symbol_polarity():

@@ -229,6 +229,13 @@ def test_simulate_config_validation(tmp_path, capsys):
         (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0"], "needs t="),
         (["h = H.txt", "decoder = bp", "ebn0_db = 2.0,1.0"],
          "strictly increasing"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 3, nan"], "finite"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0, inf"], "finite"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = -inf"], "finite"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "early_stop = maybe"],
+         "early_stop must be one of true, false, 1, 0, yes, no, got 'maybe'"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0",
+          "random_codewords = maybe"], "random_codewords must be one of"),
         (["h = missing.txt", "decoder = bp", "ebn0_db = 1.0"], ""),
     ]
     for lines, needle in cases:
@@ -240,6 +247,26 @@ def test_simulate_config_validation(tmp_path, capsys):
         assert needle in err, lines
     assert main(["simulate", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_simulate_checks_out_path_before_simulating(tmp_path, capsys,
+                                                   monkeypatch):
+    import gaedkit.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    write_dense(HAMMING_74_H, tmp_path / "H.txt")
+    (tmp_path / "taken").mkdir()
+    for out, needle in (("missing/run.csv", "does not exist"),
+                        ("taken", "is a directory")):
+        cfgf = tmp_path / "o.cfg"
+        write_sim_config(cfgf, ["h = H.txt", "decoder = bp",
+                                "ebn0_db = 1.0", f"out = {out}"])
+        assert main(["simulate", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and str(tmp_path / out.split("/")[0]) in err
 
 
 def test_simulate_osd_and_rr(tmp_path, capsys):

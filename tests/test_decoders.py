@@ -11,11 +11,11 @@ from gaedkit.automorphisms import (GeneralizedAutomorphism,
 from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch
 from gaedkit.codes import DualWordPool, LinearCode
 from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
-                              PreprocessPlan, bp_min_sum, bp_min_sum_batch,
-                              box_plus, gaed_decode, ml_decode,
-                              ml_decode_batch, osd_decode, power_ensemble,
-                              preprocess_llrs, redundant_row_decode,
-                              stack_redundant_pcm)
+                              PreprocessPlan, TannerGraph, bp_min_sum,
+                              bp_min_sum_batch, box_plus, gaed_decode,
+                              ml_decode, ml_decode_batch, osd_decode,
+                              power_ensemble, preprocess_llrs,
+                              redundant_row_decode, stack_redundant_pcm)
 from gaedkit.gf2 import BitMatrix, rank
 
 mp.dps = 50
@@ -170,6 +170,135 @@ def naive_min_sum(h: BitMatrix, chan: np.ndarray, cfg: BpConfig):
     raise AssertionError("unreachable")
 
 
+def dense_min_sum_batch(mask: np.ndarray, llrs: np.ndarray, cfg: BpConfig):
+    """The former dense (frames, checks, n) kernel, kept as the oracle.
+
+    Every message lives on the full (checks, n) grid with zeros off the
+    edges; the variable sum is numpy's sequential axis-1 sum over all
+    checks. The edge-list kernel must match it bit for bit.
+    """
+    n_frames, n = llrs.shape
+    out_hard = np.empty((n_frames, n), dtype=np.uint8)
+    out_valid = np.zeros(n_frames, dtype=bool)
+    out_iters = np.full(n_frames, cfg.iterations, dtype=np.int64)
+    if n_frames == 0:
+        return out_hard, out_valid, out_iters
+    idx = np.arange(n_frames)
+    chan = llrs
+    v_msg = np.where(mask[None], chan[:, None, :], 0.0)
+    col_ids = np.arange(n)
+    for it in range(1, cfg.iterations + 1):
+        mags = np.where(mask[None], np.abs(v_msg), np.inf)
+        first = mags.argmin(axis=2)
+        min1 = np.take_along_axis(mags, first[:, :, None], 2)[:, :, 0]
+        np.put_along_axis(mags, first[:, :, None], np.inf, 2)
+        min2 = mags.min(axis=2)
+        neg = np.signbit(v_msg) & mask[None]
+        row_sign = np.where((neg.sum(axis=2) & 1).astype(bool), -1.0, 1.0)
+        ext_sign = np.where(neg, -row_sign[:, :, None], row_sign[:, :, None])
+        ext_mag = np.minimum(
+            np.where(col_ids[None, None, :] == first[:, :, None],
+                     min2[:, :, None], min1[:, :, None]), cfg.clamp)
+        c_msg = np.where(mask[None], cfg.normalization * ext_sign * ext_mag,
+                         0.0)
+        total = chan + c_msg.sum(axis=1)
+        hard = total < 0.0
+        parity = (hard[:, None, :] & mask[None]).sum(axis=2) & 1
+        valid = ~parity.any(axis=1)
+        if it == cfg.iterations:
+            out_hard[idx] = hard
+            out_valid[idx] = valid
+            break
+        if cfg.early_stop and valid.any():
+            done_idx = idx[valid]
+            out_hard[done_idx] = hard[valid]
+            out_valid[done_idx] = True
+            out_iters[done_idx] = it
+            live = ~valid
+            if not live.any():
+                break
+            idx, chan = idx[live], chan[live]
+            total, c_msg = total[live], c_msg[live]
+        v_msg = np.where(mask[None],
+                         np.clip(total[:, None, :] - c_msg,
+                                 -cfg.clamp, cfg.clamp), 0.0)
+    return out_hard, out_valid, out_iters
+
+
+def adversarial_mask(rng) -> np.ndarray:
+    """Random (checks, n) adjacency with degree-1 rows, a column in every
+    check and a column in none, each often enough to matter."""
+    m = int(rng.integers(1, 10))
+    n = int(rng.integers(2, 16))
+    mask = rng.random((m, n)) < rng.uniform(0.1, 0.9)
+    if rng.random() < 0.4:
+        mask[:, rng.integers(n)] = True
+    if rng.random() < 0.4:
+        mask[:, rng.integers(n)] = False
+    for r in range(m):
+        if rng.random() < 0.2:
+            mask[r] = False
+        if not mask[r].any():
+            mask[r, rng.integers(n)] = True
+    return mask
+
+
+def adversarial_llrs(rng, frames: int, n: int, clamp: float) -> np.ndarray:
+    """LLRs with exact +-0.0, +-clamp, values beyond the clamp and
+    repeated magnitudes, so signed zeros and argmin ties occur."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return rng.uniform(-8.0, 8.0, size=(frames, n))
+    if kind == 1:
+        pool = np.array([0.0, -0.0, clamp, -clamp, 1.5, -1.5, 0.5, -0.5,
+                         clamp + 3.0, -clamp - 3.0])
+        return rng.choice(pool, size=(frames, n))
+    llrs = rng.integers(-3, 4, size=(frames, n)) * 0.5
+    llrs[rng.random((frames, n)) < 0.25] = -0.0
+    return llrs
+
+
+def test_edge_kernel_matches_dense_oracle():
+    rng = np.random.default_rng(90)
+    for trial in range(400):
+        mask = adversarial_mask(rng)
+        clamp = float(rng.choice([LLR_CLAMP, 2.0]))
+        cfg = BpConfig(iterations=int(rng.choice([1, 2, 5, 12])),
+                       normalization=float(rng.choice([1.0, 0.75, 0.3])),
+                       early_stop=bool(trial % 2), clamp=clamp)
+        llrs = adversarial_llrs(rng, int(rng.integers(1, 24)),
+                                mask.shape[1], clamp)
+        graph = TannerGraph.from_pcm(
+            BitMatrix.from_numpy(mask.astype(np.uint8)))
+        got = bp_min_sum_batch(graph, llrs, cfg)
+        want = dense_min_sum_batch(mask, llrs, cfg)
+        for name, g, w in zip(("hard", "valid", "iters"), got, want):
+            assert np.array_equal(g, w), (trial, name)
+
+
+def test_tanner_graph_layout():
+    h = BitMatrix.from_rows([[0, 1, 0, 1, 1],
+                             [1, 0, 0, 0, 0],
+                             [0, 1, 0, 0, 1]])
+    g = TannerGraph.from_pcm(h)
+    assert (g.n, g.checks, int(g.check_valid.sum())) == (5, 3, 6)
+    assert g.check_vars.tolist() == [[1, 3, 4], [0, 5, 5], [1, 4, 5]]
+    assert g.check_valid.tolist() == [[True, True, True],
+                                      [True, False, False],
+                                      [True, True, False]]
+    # flat slots c*width + j in ascending check order; 9 is the zero slot,
+    # and column 2 is in no check
+    assert g.var_slots.tolist() == [[3, 9], [0, 6], [9, 9], [1, 9], [2, 7]]
+    with pytest.raises(ValueError):
+        g.check_vars[0, 0] = 2
+    with pytest.raises(ValueError, match="length"):
+        bp_min_sum_batch(g, np.zeros((2, 4)), BpConfig(iterations=1))
+    with pytest.raises(ValueError, match="empty row"):
+        TannerGraph.from_pcm(BitMatrix.from_rows([[1, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="empty Tanner graph"):
+        TannerGraph.from_pcm(BitMatrix.zeros(0, 3))
+
+
 def test_bp_matches_naive_reference():
     rng = np.random.default_rng(73)
     for trial in range(200):
@@ -194,8 +323,8 @@ def test_bp_batch_matches_single():
         cfg = BpConfig(iterations=12, early_stop=early)
         frames = awgn_llr_batch(np.zeros((128, 16), dtype=np.uint8), 1.5, 0.5,
                                 np.random.default_rng(7))
-        from gaedkit.decoders import _check_mask
-        hard, valid, iters = bp_min_sum_batch(_check_mask(code.h), frames, cfg)
+        hard, valid, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h),
+                                              frames, cfg)
         for i in range(128):
             one = bp_min_sum(code.h, LlrVector(frames[i]), cfg)
             assert np.array_equal(one.hard_bits, hard[i])
@@ -269,8 +398,10 @@ def test_identity_path_reproduces_plain_bp():
     ens = GaedEnsemble(code, [GeneralizedAutomorphism.identity(code.n)])
     hard, valid, iters, path, corr = ens.decode_batch(frames, cfg)
     assert np.all(path == 0)
-    from gaedkit.decoders import _check_mask
-    bhard, bvalid, biters = bp_min_sum_batch(_check_mask(code.h), frames, cfg)
+    graph = TannerGraph.from_pcm(code.h)
+    bhard, bvalid, biters = bp_min_sum_batch(graph, frames, cfg)
+    assert np.array_equal(dense_min_sum_batch(code.h_numpy().astype(bool),
+                                              frames, cfg)[0], bhard)
     # identity preprocessing and identity mapping: bit-identical to plain BP
     assert np.array_equal(hard, bhard)
     assert np.array_equal(iters, biters)
@@ -287,13 +418,15 @@ def test_ensemble_selection_rule_recomputed():
     ens = GaedEnsemble(code, auts)
     hard, valid, iters, path, corr = ens.decode_batch(frames, cfg)
 
-    from gaedkit.decoders import _check_mask
-    mask = _check_mask(code.h)
+    graph = TannerGraph.from_pcm(code.h)
+    mask = code.h_numpy().astype(bool)
     ht = code.h_numpy().astype(np.int32).T
     cand, cand_valid, cand_corr, cand_iters = [], [], [], []
     for a in auts:
         pre = PreprocessPlan(a.matrix).apply(frames, cfg.clamp)
-        h_p, _, used = bp_min_sum_batch(mask, pre, cfg)
+        h_p, _, used = bp_min_sum_batch(graph, pre, cfg)
+        d_hard, _, d_used = dense_min_sum_batch(mask, pre, cfg)
+        assert np.array_equal(h_p, d_hard) and np.array_equal(used, d_used)
         mapped = ((h_p.astype(np.int32) @ a.inverse.to_numpy().astype(np.int32).T)
                   & 1).astype(np.uint8)
         cand.append(mapped)

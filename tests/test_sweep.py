@@ -65,6 +65,10 @@ def test_sweep_config_validation():
         SweepConfig(ebn0_db=(1.0, 1.0))
     with pytest.raises(ValueError, match="strictly increasing"):
         SweepConfig(ebn0_db=(2.0, 1.0))
+    for bad in ((3.0, float("nan")), (float("nan"),), (1.0, float("inf")),
+                (float("-inf"), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(ebn0_db=bad)
     with pytest.raises(ValueError, match="min_frame_errors"):
         SweepConfig(ebn0_db=(1.0,), min_frame_errors=0)
     with pytest.raises(ValueError, match="max_frames"):
