@@ -14,7 +14,8 @@ from .automorphisms import (ConstructionError, GeneralizedAutomorphism,
                             construct_code_with_automorphism,
                             verify_automorphism)
 from .codes import LinearCode, min_distance
-from .gf2 import BitMatrix, SingularMatrixError, invert, rank
+from .gf2 import (BitMatrix, SingularMatrixError, independent_rows, invert,
+                  rank)
 from .matio import (read_alist, read_dense, read_kv, write_alist, write_dense,
                     write_kv)
 from .sweep import DecoderSpec, SweepConfig, format_records, run_sweep
@@ -155,13 +156,10 @@ def _cmd_simulate(args) -> int:
         else:
             return _fail("config needs either dir= or h=")
         code = LinearCode.from_pcm(h)
-        kind = raw.get("decoder", "")
-        if kind not in ("bp", "gaed", "rr", "osd"):
-            return _fail(f"decoder must be bp, gaed, rr or osd, got {kind!r}")
         powers = tuple(int(x) for x in
                        raw.get("gaed_powers", "0,1,-1").split(","))
         spec = DecoderSpec(
-            kind=kind,
+            kind=raw.get("decoder", ""),
             iterations=int(raw.get("iterations", "20")),
             normalization=float(raw.get("normalization", "0.75")),
             early_stop=_bool_key(raw, "early_stop", "true"),
@@ -169,7 +167,7 @@ def _cmd_simulate(args) -> int:
             osd_order=int(raw.get("osd_order", "3")),
             powers=powers)
         aut = None
-        if kind == "gaed":
+        if spec.kind == "gaed":
             if t is None:
                 return _fail("gaed decoding needs t= (or a dir with T.txt)")
             try:
@@ -253,22 +251,11 @@ def _cmd_dmin(args) -> int:
     except (OSError, ValueError) as e:
         return _fail(str(e))
     # drop dependent rows so redundant PCMs are accepted
-    pivots: dict[int, int] = {}
-    kept = []
-    for row in m:
-        v = row
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                v ^= pivots[lead]
-            else:
-                pivots[lead] = v
-                kept.append(row)
-                break
-    if not kept or len(kept) >= m.cols:
+    kept = m.take_rows(list(independent_rows(m)))
+    if not kept.rows or kept.rows >= m.cols:
         return _fail("matrix does not define a code with 0 < k < n")
     try:
-        d = min_distance(LinearCode.from_pcm(BitMatrix(kept, m.cols)))
+        d = min_distance(LinearCode.from_pcm(kept))
     except ValueError as e:
         return _fail(str(e))
     print(d)

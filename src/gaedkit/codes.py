@@ -8,12 +8,13 @@ of that null space in its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, null_space_basis, rank
+from .gf2 import BitMatrix, independent_rows, null_space_basis, rank
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -321,21 +322,8 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool, trials: int = 32,
         else:
             jitter = rng.permutation(len(words))
             order = sorted(range(len(words)), key=lambda i: (weights[i], jitter[i]))
-        pivots: dict[int, int] = {}
-        chosen: list[int] = []
-        for idx in order:
-            v = words[idx]
-            while v:
-                lead = v.bit_length() - 1
-                if lead in pivots:
-                    v ^= pivots[lead]
-                else:
-                    pivots[lead] = v
-                    chosen.append(idx)
-                    break
-            if len(chosen) == r:
-                break
-        rows = sorted((words[i] for i in chosen),
+        picks = islice(independent_rows(words[i] for i in order), r)
+        rows = sorted((words[order[j]] for j in picks),
                       key=lambda v: (v.bit_count(), v))
         score = (sum(v.bit_count() for v in rows),
                  four_cycle_count(BitMatrix(rows, c.n)))
@@ -371,21 +359,10 @@ def reduce_zero_columns(c: LinearCode, t: BitMatrix
         raise ReductionError(
             f"dropping {len(frozen)} frozen positions breaks invertibility")
     h_cut = c.h.take_cols(active)
-    pivots: dict[int, int] = {}
-    kept: list[int] = []
-    for i in range(h_cut.rows):
-        v = h_cut.row_bits(i)
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                v ^= pivots[lead]
-            else:
-                pivots[lead] = v
-                kept.append(h_cut.row_bits(i))
-                break
-    if not kept:
+    kept = h_cut.take_rows(list(independent_rows(h_cut)))
+    if not kept.rows:
         raise ReductionError("reduction left a code without redundancy")
-    reduced = LinearCode.from_pcm(BitMatrix(kept, len(active)))
+    reduced = LinearCode.from_pcm(kept)
     if reduced.k != c.k:
         raise AssertionError("reduction changed the code dimension")
     return reduced, t_sub, frozen

@@ -19,8 +19,8 @@ import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector
-from .codes import DualWordPool, LinearCode
-from .gf2 import BitMatrix, rank
+from .codes import DualWordPool, LinearCode, check_pool
+from .gf2 import BitMatrix, independent_rows, rank
 
 
 def _pair_box_plus(a, b):
@@ -95,7 +95,6 @@ class BpConfig:
     normalization: float = 0.75
     early_stop: bool = True
     clamp: float = LLR_CLAMP
-    schedule: str = "flooding"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -104,8 +103,6 @@ class BpConfig:
             raise ValueError("normalization must be in (0, 1]")
         if self.clamp <= 0:
             raise ValueError("clamp must be positive")
-        if self.schedule != "flooding":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -349,29 +346,16 @@ def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
+    check_pool(code, pool)
     need = ell * (code.n - code.k)
-    if len(pool.words) < need:
-        raise ValueError(f"pool has {len(pool.words)} words, need {need}")
-    pivots: dict[int, int] = {}
-    basis: list[int] = []
-    rest: list[int] = []
-    for w in pool.words:
-        v = w
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                v ^= pivots[lead]
-            else:
-                pivots[lead] = v
-                basis.append(w)
-                break
-        else:
-            rest.append(w)
+    words = pool.words
+    if len(words) < need:
+        raise ValueError(f"pool has {len(words)} words, need {need}")
+    basis = set(independent_rows(words))
     if len(basis) < code.n - code.k:
         raise ValueError("pool does not span the dual code")
-    chosen = basis + rest[: need - len(basis)]
-    if len(chosen) < need:
-        raise ValueError("pool too small after the spanning basis")
+    rest = [w for i, w in enumerate(words) if i not in basis]
+    chosen = [words[i] for i in sorted(basis)] + rest[: need - len(basis)]
     chosen.sort(key=lambda w: (w.bit_count(), w))
     stacked = BitMatrix(chosen, code.n)
     if rank(stacked) != code.n - code.k:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, block_diagonal, companion_matrix, invert, solve_left
+from .gf2 import (BitMatrix, Reducer, block_diagonal, companion_matrix,
+                  invert, solve_left)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -30,43 +31,6 @@ class FrobeniusForm:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(f.degree for f in self.blocks)
-
-
-class _Reducer:
-    """Forward-elimination span tracker over int-bitset vectors.
-
-    Rows are kept sorted by descending leading bit; each carries a witness
-    bitset over caller-chosen tags so reductions can report which tagged
-    vectors they used. Vectors inserted with tag None (the ambient space)
-    contribute nothing to witnesses.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows=None):
-        self.rows: list[tuple[int, int]] = list(rows) if rows else []
-
-    def copy(self) -> "_Reducer":
-        return _Reducer(self.rows)
-
-    def reduce(self, v: int) -> tuple[int, int]:
-        combo = 0
-        for rv, rw in self.rows:
-            if (v >> (rv.bit_length() - 1)) & 1:
-                v ^= rv
-                combo ^= rw
-        return v, combo
-
-    def insert(self, v: int, witness: int = 0) -> bool:
-        v, combo = self.reduce(v)
-        if not v:
-            return False
-        self.rows.append((v, combo ^ witness))
-        self.rows.sort(key=lambda t: -t[0])
-        return True
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def _matvec(tt_rows: tuple[int, ...], v: int) -> int:
@@ -93,7 +57,7 @@ def _apply_poly(tt_rows: tuple[int, ...], f: Gf2Poly, v: int) -> int:
     return acc
 
 
-def _conductor(tt_rows: tuple[int, ...], span: _Reducer, u: int) -> Gf2Poly:
+def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
     """Minimal monic f with f(t) @ u inside the given span.
 
     Builds the cyclic chain of u in the quotient by the span; the witness
@@ -124,7 +88,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
         raise ValueError("normal form requires a square matrix")
     tt_rows = tuple(t.transpose())
 
-    span = _Reducer()
+    span = Reducer()
     chain_vectors: list[int] = []
     raw_blocks: list[tuple[int, Gf2Poly]] = []  # (generator, annihilator)
 

@@ -7,7 +7,7 @@ exact. Matrices are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,14 +203,6 @@ class BitMatrix:
         return out
 
 
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    return a @ b
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    return m.transpose()
-
-
 def _echelon(bits: list[int]) -> tuple[list[int], list[int]]:
     """In-place row echelon; returns (rows, pivot column per kept row)."""
     pivots: list[int] = []
@@ -288,24 +280,63 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
     return BitMatrix(basis, m.cols)
 
 
-def solve_left(m: BitMatrix, y: int) -> int | None:
-    """Solve x @ m = y for a row-combination bitset x, or None if unsolvable."""
-    reduced: list[tuple[int, int]] = []  # (reduced row, witness combo)
-    for i in range(m.rows):
-        v, w = m.row_bits(i), 1 << i
-        for rv, rw in reduced:
+class Reducer:
+    """Forward-elimination span tracker over int-bitset vectors.
+
+    Rows are kept sorted by descending leading bit; each carries a witness
+    bitset over caller-chosen tags so reductions can report which tagged
+    vectors they used. Vectors inserted with tag 0 (the ambient space)
+    contribute nothing to witnesses.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=None):
+        self.rows: list[tuple[int, int]] = list(rows) if rows else []
+
+    def copy(self) -> "Reducer":
+        return Reducer(self.rows)
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        combo = 0
+        for rv, rw in self.rows:
             if (v >> (rv.bit_length() - 1)) & 1:
                 v ^= rv
-                w ^= rw
-        if v:
-            reduced.append((v, w))
-            reduced.sort(key=lambda t: -t[0])
-    v, w = y, 0
-    for rv, rw in reduced:
-        if (v >> (rv.bit_length() - 1)) & 1:
-            v ^= rv
-            w ^= rw
-    return None if v else w
+                combo ^= rw
+        return v, combo
+
+    def insert(self, v: int, witness: int = 0) -> bool:
+        v, combo = self.reduce(v)
+        if not v:
+            return False
+        self.rows.append((v, combo ^ witness))
+        self.rows.sort(key=lambda t: -t[0])
+        return True
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def independent_rows(rows: Iterable[int]) -> Iterator[int]:
+    """Indices of the rows outside the span of the rows before them."""
+    pivots: dict[int, int] = {}  # leading bit -> stored row
+    for i, v in enumerate(rows):
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = v
+                yield i
+                break
+            v ^= pivots[lead]
+
+
+def solve_left(m: BitMatrix, y: int) -> int | None:
+    """Solve x @ m = y for a row-combination bitset x, or None if unsolvable."""
+    span = Reducer()
+    for i, row in enumerate(m):
+        span.insert(row, 1 << i)
+    v, combo = span.reduce(y)
+    return None if v else combo
 
 
 def column_reduce(h: BitMatrix) -> BitMatrix:

@@ -5,6 +5,11 @@ owns an RNG stream keyed by (seed, point index, chunk index), and stopping
 is decided only at round boundaries. Error counts are therefore identical
 for any worker count, and byte-identical CSV (modulo the wall-clock column)
 follows from an identical (config, seed) pair.
+
+The decoder is built once per sweep, in the calling process, from the
+caller's code, automorphism and pool. Worker processes receive that built
+decoder through the pool initializer instead of rebuilding it, so it must
+pickle.
 """
 
 from __future__ import annotations
@@ -12,16 +17,16 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite, sqrt
 
 import numpy as np
 
-from .automorphisms import GeneralizedAutomorphism, verify_automorphism
+from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch, LlrVector
 from .codes import DualWordPool, LinearCode, low_weight_dual_search
 from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
                        osd_decode, power_ensemble, stack_redundant_pcm)
-from .gf2 import BitMatrix
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
 
@@ -34,6 +39,15 @@ _POOL_SEED = 0
 
 def _round_chunk_frames(round_idx: int) -> int:
     return min(8192, 256 << round_idx)
+
+
+# every decoder kind a sweep runs, with its CSV label
+_KINDS = {
+    "bp": lambda spec: f"BP-{spec.iterations}",
+    "gaed": lambda spec: f"GAED-{len(spec.powers)}-BP-{spec.iterations}",
+    "rr": lambda spec: f"R-{spec.ell}-BP-{spec.iterations}",
+    "osd": lambda spec: f"OSD-{spec.osd_order}",
+}
 
 
 @dataclass(frozen=True)
@@ -49,8 +63,9 @@ class DecoderSpec:
     powers: tuple[int, ...] = (0, 1, -1)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bp", "gaed", "rr", "osd"):
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown decoder {self.kind!r}; decoder must "
+                             f"be one of {', '.join(_KINDS)}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not 0.0 < self.normalization <= 1.0:
@@ -64,13 +79,7 @@ class DecoderSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "bp":
-            return f"BP-{self.iterations}"
-        if self.kind == "gaed":
-            return f"GAED-{len(self.powers)}-BP-{self.iterations}"
-        if self.kind == "rr":
-            return f"R-{self.ell}-BP-{self.iterations}"
-        return f"OSD-{self.osd_order}"
+        return _KINDS[self.kind](self)
 
 
 @dataclass(frozen=True)
@@ -116,74 +125,51 @@ class FerRecord:
     elapsed_s: float
 
 
-def _make_payload(code: LinearCode, spec: DecoderSpec,
-                  aut: GeneralizedAutomorphism | None,
-                  pool: DualWordPool | None) -> dict:
-    payload = {
-        "h_rows": list(code.h), "n": code.n,
-        "kind": spec.kind, "iterations": spec.iterations,
-        "normalization": spec.normalization, "early_stop": spec.early_stop,
-        "ell": spec.ell, "osd_order": spec.osd_order,
-        "powers": tuple(spec.powers),
-    }
-    if spec.kind == "gaed":
-        if aut is None:
-            raise ValueError("gaed sweeps need an automorphism")
-        if not verify_automorphism(code, aut.matrix):
-            raise ValueError("matrix is not an automorphism of the code")
-        payload["t_rows"] = list(aut.matrix)
-    if spec.kind == "rr":
-        if pool is None:
-            need = spec.ell * (code.n - code.k)
-            pool = low_weight_dual_search(code, target_count=need + 32,
-                                          max_weight=code.n, seed=_POOL_SEED)
-        payload["pool_words"] = list(pool.words)
-    return payload
+def _osd_batch(code: LinearCode, order: int,
+               llrs: np.ndarray) -> tuple[np.ndarray]:
+    out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
+    for f in range(llrs.shape[0]):
+        out[f] = osd_decode(code, LlrVector(llrs[f]), order).hard_bits
+    return (out,)
 
 
 class _Runtime:
-    """Per-process decoder state rebuilt from a picklable payload."""
+    """A sweep's decoder, built once and handed as is to every worker.
 
-    def __init__(self, payload: dict):
-        n = payload["n"]
-        self.code = LinearCode.from_pcm(BitMatrix(payload["h_rows"], n))
-        self.g_np = self.code.g_numpy().astype(np.int32)
-        self.cfg = BpConfig(iterations=payload["iterations"],
-                            normalization=payload["normalization"],
-                            early_stop=payload["early_stop"])
-        kind = payload["kind"]
-        graph = None
-        if kind == "bp":
-            graph = TannerGraph.from_pcm(self.code.h)
-        elif kind == "gaed":
-            aut = GeneralizedAutomorphism.from_matrix(
-                BitMatrix(payload["t_rows"], n))
-            self.ens = GaedEnsemble(self.code, power_ensemble(
-                aut, payload["powers"]))
-            graph = self.ens.graph
-        elif kind == "rr":
-            pool = DualWordPool(tuple(payload["pool_words"]), n, True)
-            graph = TannerGraph.from_pcm(stack_redundant_pcm(
-                self.code, pool, payload["ell"]))
-        self.kind = kind
-        self.graph = graph
-        self.osd_order = payload["osd_order"]
+    `decode(llrs)` is a picklable batch decoder whose first output is the
+    (frames, n) hard decisions, so workers need nothing rebuilt.
+    """
+
+    def __init__(self, code: LinearCode, spec: DecoderSpec,
+                 aut: GeneralizedAutomorphism | None,
+                 pool: DualWordPool | None):
+        self.code = code
+        self.g_np = code.g_numpy().astype(np.int32)
+        cfg = BpConfig(iterations=spec.iterations,
+                       normalization=spec.normalization,
+                       early_stop=spec.early_stop)
+        h = code.h
+        if spec.kind == "gaed":
+            if aut is None:
+                raise ValueError("gaed sweeps need an automorphism")
+            ens = GaedEnsemble(code, power_ensemble(aut, spec.powers))
+            self.decode = partial(ens.decode_batch, cfg=cfg)
+        elif spec.kind == "osd":
+            self.decode = partial(_osd_batch, code, spec.osd_order)
+        else:
+            if spec.kind == "rr":
+                if pool is None:
+                    need = spec.ell * (code.n - code.k)
+                    pool = low_weight_dual_search(
+                        code, target_count=need + 32, max_weight=code.n,
+                        seed=_POOL_SEED)
+                h = stack_redundant_pcm(code, pool, spec.ell)
+            self.decode = partial(bp_min_sum_batch, TannerGraph.from_pcm(h),
+                                  cfg=cfg)
         # batch boundaries set the RNG draw order of random-codeword sweeps,
         # so the batch stays sized by dense checks * n cells
-        checks = self.code.h.rows if graph is None else graph.checks
         self.batch_frames = max(
-            32, _DECODE_CELL_BUDGET // max(1, checks * n))
-
-    def _decode(self, llrs: np.ndarray) -> np.ndarray:
-        if self.kind == "gaed":
-            return self.ens.decode_batch(llrs, self.cfg)[0]
-        if self.kind == "osd":
-            out = np.empty((llrs.shape[0], self.code.n), dtype=np.uint8)
-            for f in range(llrs.shape[0]):
-                out[f] = osd_decode(self.code, LlrVector(llrs[f]),
-                                    self.osd_order).hard_bits
-            return out
-        return bp_min_sum_batch(self.graph, llrs, self.cfg)[0]
+            32, _DECODE_CELL_BUDGET // max(1, h.rows * code.n))
 
     def run_chunk(self, ebn0_db: float, frames: int,
                   rng: np.random.Generator,
@@ -201,7 +187,7 @@ class _Runtime:
             else:
                 sent = np.zeros((b, self.code.n), dtype=np.uint8)
             llrs = awgn_llr_batch(sent, ebn0_db, rate, rng)
-            diff = self._decode(llrs) != sent
+            diff = self.decode(llrs)[0] != sent
             frame_errors += int(diff.any(axis=1).sum())
             bit_errors += int(diff.sum())
             left -= b
@@ -211,16 +197,20 @@ class _Runtime:
 _RUNTIME: _Runtime | None = None
 
 
-def _init_worker(payload: dict) -> None:
+def _init_worker(runtime: _Runtime) -> None:
     global _RUNTIME
-    _RUNTIME = _Runtime(payload)
+    _RUNTIME = runtime
 
 
-def _pool_task(args) -> tuple[int, int, int]:
+def _run_task(runtime: _Runtime, args) -> tuple[int, int, int]:
     seed, random_codewords, point_idx, chunk_idx, ebn0_db, frames = args
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(seed, point_idx, chunk_idx)))
-    return _RUNTIME.run_chunk(ebn0_db, frames, rng, random_codewords)
+    return runtime.run_chunk(ebn0_db, frames, rng, random_codewords)
+
+
+def _pool_task(args) -> tuple[int, int, int]:
+    return _run_task(_RUNTIME, args)
 
 
 def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
@@ -232,15 +222,12 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
     Each point accumulates chunk rounds until min_frame_errors errors or
     max_frames frames are reached; counts are invariant to workers.
     """
-    payload = _make_payload(code, spec, aut, pool)
+    runtime = _Runtime(code, spec, aut, pool)
     executor = None
-    runtime = None
     if cfg.workers > 1:
         executor = ProcessPoolExecutor(max_workers=cfg.workers,
                                        initializer=_init_worker,
-                                       initargs=(payload,))
-    else:
-        runtime = _Runtime(payload)
+                                       initargs=(runtime,))
     try:
         records = []
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
@@ -265,12 +252,7 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
                 if executor is not None:
                     results = list(executor.map(_pool_task, tasks))
                 else:
-                    results = []
-                    for t in tasks:
-                        rng = np.random.default_rng(np.random.SeedSequence(
-                            entropy=(t[0], t[2], t[3])))
-                        results.append(runtime.run_chunk(t[4], t[5], rng,
-                                                         t[1]))
+                    results = [_run_task(runtime, t) for t in tasks]
                 for f, e, b in results:
                     frames += f
                     frame_errors += e

@@ -362,8 +362,6 @@ def test_bp_config_validation():
         BpConfig(iterations=1, normalization=1.5)
     with pytest.raises(ValueError, match="clamp"):
         BpConfig(iterations=1, clamp=-1.0)
-    with pytest.raises(ValueError, match="schedule"):
-        BpConfig(iterations=1, schedule="serial")
 
 
 def test_bp_input_validation():
@@ -541,13 +539,36 @@ def test_stack_redundant_pcm_errors():
         stack_redundant_pcm(code, pool, 0)
     with pytest.raises(ValueError, match="need"):
         stack_redundant_pcm(code, pool, 2)
-    # spanning failure: enough words, all inside a 2-dimensional subspace
-    a, b = rows[0], rows[1]
-    thin_words = sorted({a, b, a ^ b} | set(), key=lambda w: (w.bit_count(), w))
-    deps = DualWordPool(tuple(thin_words), code.n, True)
-    if len(thin_words) >= r:
-        with pytest.raises(ValueError, match="span"):
-            stack_redundant_pcm(code, deps, 1)
+    # spanning failure: enough words, all inside an (r-1)-dimensional subspace
+    thin_words = set()
+    for mask in range(1, 1 << (r - 1)):
+        w = 0
+        for i in range(r - 1):
+            if (mask >> i) & 1:
+                w ^= rows[i]
+        thin_words.add(w)
+    assert len(thin_words) >= r
+    deps = DualWordPool(tuple(sorted(thin_words,
+                                     key=lambda w: (w.bit_count(), w))),
+                        code.n, True)
+    with pytest.raises(ValueError, match="span"):
+        stack_redundant_pcm(code, deps, 1)
+    # words outside the dual code: random words, and another code's dual
+    rng = np.random.default_rng(31)
+    noise = DualWordPool(tuple(int(w) for w in
+                               rng.integers(1, 1 << code.n, size=4 * r)),
+                         code.n, True)
+    with pytest.raises(ValueError, match="outside the dual"):
+        stack_redundant_pcm(code, noise, 2)
+    other, _ = built_pair(seed=7)
+    foreign = DualWordPool(tuple(other.h), other.n, True)
+    assert other.n == code.n and other.h != code.h
+    with pytest.raises(ValueError, match="outside the dual"):
+        stack_redundant_pcm(code, foreign, 1)
+    # a pool built for another length
+    wide = DualWordPool(tuple(w << 1 for w in rows), code.n + 1, True)
+    with pytest.raises(ValueError, match="length"):
+        stack_redundant_pcm(code, wide, 1)
 
 
 # -- OSD and ML ---------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, block_diagonal,
-                         char_poly, column_reduce, companion_matrix, invert,
-                         mat_mul, null_space_basis, rank, solve_left)
+                         char_poly, column_reduce, companion_matrix,
+                         independent_rows, invert, null_space_basis, rank,
+                         solve_left)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -73,7 +74,6 @@ def test_matmul_matches_naive():
         a = random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         b = random_matrix(rng, a.cols, int(rng.integers(1, 9)))
         assert a @ b == naive_mul(a, b)
-        assert mat_mul(a, b) == a @ b
     with pytest.raises(ValueError):
         random_matrix(rng, 2, 3) @ random_matrix(rng, 4, 2)
 
@@ -203,6 +203,51 @@ def test_solve_left():
     m = BitMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
     assert solve_left(m, 0b111) is None
     assert solve_left(m, 0) == 0
+
+
+def inline_independent_rows(rows):
+    """The incremental-pivot loop independent_rows replaced, kept as oracle."""
+    pivots = {}
+    kept = []
+    for i, row in enumerate(rows):
+        v = row
+        while v:
+            lead = v.bit_length() - 1
+            if lead in pivots:
+                v ^= pivots[lead]
+            else:
+                pivots[lead] = v
+                kept.append(i)
+                break
+    return kept
+
+
+def test_independent_rows_matches_inline_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        cols = int(rng.integers(1, 12))
+        rank_cap = int(rng.integers(1, cols + 1))
+        # rows drawn from a low-rank span, so most are dependent, plus
+        # explicit zero rows and duplicates of earlier rows
+        span = [int(x) for x in rng.integers(0, 1 << cols, size=rank_cap)]
+        rows = []
+        for _ in range(int(rng.integers(0, 3 * cols + 4))):
+            pick = rng.random()
+            if pick < 0.15:
+                rows.append(0)
+            elif pick < 0.3 and rows:
+                rows.append(rows[int(rng.integers(0, len(rows)))])
+            else:
+                v = 0
+                for b in span:
+                    if rng.integers(0, 2):
+                        v ^= b
+                rows.append(v)
+        got = list(independent_rows(rows))
+        assert got == inline_independent_rows(rows)
+        assert len(got) == rank(BitMatrix(rows, cols))
+    assert list(independent_rows([])) == []
+    assert list(independent_rows([0, 0])) == []
 
 
 def test_column_reduce():

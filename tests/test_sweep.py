@@ -1,6 +1,7 @@
 """Monte-Carlo sweep engine: determinism, stopping rules, CSV schema."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gaedkit.automorphisms import construct_code_with_automorphism
 from gaedkit.codes import DualWordPool, LinearCode, low_weight_dual_search
 from gaedkit.gf2 import BitMatrix
 from gaedkit.sweep import (CSV_HEADER, DecoderSpec, FerRecord, SweepConfig,
-                           format_records, run_sweep, write_csv)
+                           _Runtime, format_records, run_sweep, write_csv)
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -120,15 +121,27 @@ def test_sweep_different_seeds_differ():
         (b[0].frames, b[0].frame_errors, b[0].bit_errors)
 
 
-def test_sweep_worker_count_does_not_change_counts():
-    code = LinearCode.from_pcm(HAMMING_74_H)
-    spec = DecoderSpec("bp", iterations=5)
-    cfg1 = small_sweep_cfg(min_frame_errors=25, max_frames=2048)
-    cfg2 = small_sweep_cfg(min_frame_errors=25, max_frames=2048, workers=2)
-    a = run_sweep(code, spec, cfg1, timer=fake_timer())
-    b = run_sweep(code, spec, cfg2, timer=fake_timer())
+@pytest.mark.parametrize("random_codewords", [False, True])
+@pytest.mark.parametrize("kind", ["bp", "gaed", "rr", "osd"])
+def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
+    res = construct_code_with_automorphism(16, 8, 4, seed=0)
+    spec = DecoderSpec(kind, iterations=5, ell=2, osd_order=2)
+    cfg1 = small_sweep_cfg(min_frame_errors=25, max_frames=2048,
+                           random_codewords=random_codewords)
+    cfg2 = small_sweep_cfg(min_frame_errors=25, max_frames=2048, workers=2,
+                           random_codewords=random_codewords)
+    a = run_sweep(res.code, spec, cfg1, aut=res.aut, timer=fake_timer())
+    b = run_sweep(res.code, spec, cfg2, aut=res.aut, timer=fake_timer())
     assert (a[0].frames, a[0].frame_errors, a[0].bit_errors) == \
         (b[0].frames, b[0].frame_errors, b[0].bit_errors)
+    # workers may receive the built decoder pickled; a round trip must
+    # decode the same frames to the same counts
+    runtime = _Runtime(res.code, spec, res.aut, None)
+    restored = pickle.loads(pickle.dumps(runtime))
+    assert runtime.run_chunk(2.0, 300, np.random.default_rng(9),
+                             random_codewords) == \
+        restored.run_chunk(2.0, 300, np.random.default_rng(9),
+                           random_codewords)
 
 
 def test_sweep_stops_exactly_at_max_frames_when_error_free():
@@ -192,6 +205,14 @@ def test_sweep_gaed_rr_osd_kinds():
     rr2 = run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
                     pool=pool, timer=fake_timer())
     assert rr2[0].frames >= 1
+
+    # a pool searched on another code of the same shape is refused, not
+    # decoded with a wrong PCM
+    other = construct_code_with_automorphism(16, 8, 4, seed=7).code
+    foreign = low_weight_dual_search(other, 4 * (code.n - code.k), code.n)
+    with pytest.raises(ValueError, match="outside the dual"):
+        run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
+                  pool=foreign, timer=fake_timer())
 
     osd_code = LinearCode.from_pcm(HAMMING_74_H)
     osd = run_sweep(osd_code, DecoderSpec("osd", osd_order=2),
