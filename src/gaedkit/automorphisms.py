@@ -282,6 +282,8 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         raise ValueError("need 0 < k < n")
     if delta_obj < 0:
         raise ValueError("delta_obj must be non-negative")
+    if pool_target is not None and pool_target < 1:
+        raise ValueError(f"pool_target must be positive, got {pool_target}")
     ordering_failures = 0
     reduction_failures = 0
     for attempt in range(1, max_resamples + 1):
@@ -310,7 +312,8 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         aut = GeneralizedAutomorphism.from_matrix(t1)
         pool_seed = int(rng.integers(0, 2**63))
         opt_seed = int(rng.integers(0, 2**63))
-        target = pool_target or max(8 * (code1.n - code1.k), 256)
+        target = (pool_target if pool_target is not None
+                  else max(8 * (code1.n - code1.k), 256))
         pool = low_weight_dual_search(code1, target_count=target,
                                       max_weight=code1.n, seed=pool_seed)
         # the lightest words alone may not span; the PCM optimizer needs a

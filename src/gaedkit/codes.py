@@ -232,25 +232,48 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
                            seed: int = 0) -> DualWordPool:
     """Collect low-weight nonzero dual codewords.
 
-    Full enumeration of the 2^(n-k) dual words when n-k <= 24 (the result is
-    then exhaustive up to max_weight, truncated to the target count);
-    otherwise a seeded random-combination search over H's rows.
+    When n-k <= 24 all 2^(n-k) dual words are enumerated, and the result is
+    exactly the first target_count nonzero words of weight <= max_weight in
+    (weight, value) order. The enumeration keeps, as packed arrays, only the
+    words at or under a running cutoff weight: the smallest weight by which
+    the words seen so far already fill the target, since no heavier word
+    can make the pool. Only the returned words are converted to ints.
+
+    Above n-k = 24 a seeded random-combination search over H's rows runs
+    instead; its pool is marked incomplete when the iteration budget ends
+    before target_count words are found.
     """
     if target_count < 1:
         raise ValueError("target_count must be positive")
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     r = c.n - c.k
     hrows = [c.h.row_bits(i) for i in range(r)]
     if r <= 24:
-        found: list[tuple[int, int]] = []
-        for off, chunk in _iter_combination_chunks(hrows, c.n):
+        cutoff = max_weight
+        hist = np.zeros(c.n + 1, dtype=np.int64)
+        packed: list[np.ndarray] = []
+        weights: list[np.ndarray] = []
+        for _, chunk in _iter_combination_chunks(hrows, c.n):
             w = _weights(chunk)
-            keep = np.nonzero((w <= max_weight) & (w > 0))[0]
-            found.extend((int(w[i]), _packed_to_int(chunk[i])) for i in keep)
-            if len(found) > 4 * target_count:
-                found.sort()
-                del found[target_count:]
-        found.sort()
-        return DualWordPool(tuple(v for _, v in found[:target_count]), c.n, True)
+            keep = (w > 0) & (w <= cutoff)
+            packed.append(chunk[keep])
+            weights.append(w[keep])
+            hist += np.bincount(weights[-1], minlength=c.n + 1)
+            reached = int(np.searchsorted(np.cumsum(hist), target_count))
+            if reached < cutoff:
+                cutoff = reached
+                # rebinding w and keep frees this chunk's arrays before the
+                # copy below, which lowers the peak memory
+                p, w = np.concatenate(packed), np.concatenate(weights)
+                keep = w <= cutoff
+                packed, weights = [p[keep]], [w[keep]]
+        p, w = np.concatenate(packed), np.concatenate(weights)
+        # packed words are little-endian, so the last column is the most
+        # significant; unsigned uint64 order then matches int order
+        order = np.lexsort((*p.T, w))[:target_count]
+        return DualWordPool(tuple(_packed_to_int(row) for row in p[order]),
+                            c.n, True)
 
     rng = np.random.default_rng(seed)
     collected = {row for row in hrows if row.bit_count() <= max_weight}

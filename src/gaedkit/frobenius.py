@@ -13,10 +13,11 @@ Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .gf2 import (BitMatrix, Reducer, block_diagonal, companion_matrix,
-                  invert, solve_left)
+                  invert, reducer_order, solve_left)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -70,8 +71,7 @@ def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
         res, combo = local.reduce(cur)
         if not res:
             return Gf2Poly((1 << j) ^ combo)
-        local.rows.append((res, combo ^ (1 << j)))
-        local.rows.sort(key=lambda t: -t[0])
+        insort(local.rows, (res, combo ^ (1 << j)), key=reducer_order)
         cur = _matvec(tt_rows, cur)
         j += 1
 

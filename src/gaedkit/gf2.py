@@ -7,6 +7,7 @@ exact. Matrices are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -280,6 +281,15 @@ def null_space_basis(m: BitMatrix) -> BitMatrix:
     return BitMatrix(basis, m.cols)
 
 
+def reducer_order(row: tuple[int, int]) -> int:
+    """Sort key of a Reducer row: descending vector value.
+
+    Stored vectors have distinct leading bits, so this is descending
+    leading-bit order; insort with this key keeps the row list sorted.
+    """
+    return -row[0]
+
+
 class Reducer:
     """Forward-elimination span tracker over int-bitset vectors.
 
@@ -309,8 +319,7 @@ class Reducer:
         v, combo = self.reduce(v)
         if not v:
             return False
-        self.rows.append((v, combo ^ witness))
-        self.rows.sort(key=lambda t: -t[0])
+        insort(self.rows, (v, combo ^ witness), key=reducer_order)
         return True
 
     def __len__(self) -> int:

@@ -250,3 +250,6 @@ def test_construction_validation():
         construct_code_with_automorphism(8, 8, 0, seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         construct_code_with_automorphism(8, 4, -1, seed=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="pool_target"):
+            construct_code_with_automorphism(8, 4, 0, seed=0, pool_target=bad)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
+                           _iter_combination_chunks, _packed_to_int, _weights,
                            check_pool, four_cycle_count, low_weight_dual_search,
                            min_distance, optimize_pcm, reduce_zero_columns,
                            weight_distribution)
@@ -26,6 +29,25 @@ def random_code(rng, n, r):
         h = BitMatrix.from_numpy(rng.integers(0, 2, size=(r, n), dtype=np.uint8))
         if rank(h) == r:
             return LinearCode.from_pcm(h)
+
+
+def sorted_enumeration_oracle(c, target_count, max_weight):
+    """The exhaustive dual-word search as a plain list-and-sort loop.
+
+    Every nonzero dual word of weight <= max_weight becomes a (weight, int)
+    tuple; the list is sorted and truncated to the target count.
+    """
+    hrows = [c.h.row_bits(i) for i in range(c.n - c.k)]
+    found = []
+    for _, chunk in _iter_combination_chunks(hrows, c.n):
+        w = _weights(chunk)
+        keep = np.nonzero((w <= max_weight) & (w > 0))[0]
+        found.extend((int(w[i]), _packed_to_int(chunk[i])) for i in keep)
+        if len(found) > 4 * target_count:
+            found.sort()
+            del found[target_count:]
+    found.sort()
+    return DualWordPool(tuple(v for _, v in found[:target_count]), c.n, True)
 
 
 def bits_to_int(bits) -> int:
@@ -126,8 +148,64 @@ def test_low_weight_search_enumerates_small_duals():
     assert pool.as_matrix() == BitMatrix(pool.words, 7)
     # max_weight below the lightest dual word leaves nothing
     assert low_weight_dual_search(c, 5, max_weight=3).words == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target_count"):
         low_weight_dual_search(c, 0, max_weight=4)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="max_weight"):
+            low_weight_dual_search(c, 5, max_weight=bad)
+
+
+def test_low_weight_search_matches_sorted_enumeration():
+    rng = np.random.default_rng(57)
+    # one to three packed words per dual word; r = 19 spans two enumeration
+    # chunks of 2^18 words, so the cutoff also falls across a chunk boundary
+    cases = [(n, int(rng.integers(3, min(n - 1, 12) + 1)))
+             for n in (8, 63, 64, 65, 100, 130) for _ in range(2)]
+    cases += [(40, 19)]
+    for n, r in cases:
+        c = random_code(rng, n, r)
+        if r <= 12:
+            targets = (1, 7, 300, 1 << r, (1 << r) + 5)
+            max_weights = (1, 3, n // 3, n)
+        else:
+            targets = (1, 7, 300)
+            max_weights = (3, n // 3)
+        for target in targets:
+            for max_weight in max_weights:
+                pool = low_weight_dual_search(c, target, max_weight)
+                assert pool == sorted_enumeration_oracle(c, target, max_weight), \
+                    (n, r, target, max_weight)
+
+
+@st.composite
+def full_rank_codes(draw):
+    """Codes with n <= 20 and r <= 10: a systematic H = [I | A] whose rows
+    are mixed by a unit lower-triangular map and whose columns are permuted,
+    so every full-rank code can be drawn."""
+    r = draw(st.integers(1, 10))
+    n = draw(st.integers(r + 1, 20))
+    rows = [(1 << i) | (draw(st.integers(0, (1 << (n - r)) - 1)) << r)
+            for i in range(r)]
+    for i in range(1, r):
+        mix = draw(st.integers(0, (1 << i) - 1))
+        for j in range(i):
+            if (mix >> j) & 1:
+                rows[i] ^= rows[j]
+    perm = draw(st.permutations(range(n)))
+    permuted = [sum(1 << perm[j] for j in range(n) if (v >> j) & 1) for v in rows]
+    return LinearCode.from_pcm(BitMatrix(permuted, n))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(c=full_rank_codes(), target=st.integers(1, 1100),
+       max_weight=st.integers(1, 21))
+def test_low_weight_search_properties(c, target, max_weight):
+    pool = low_weight_dual_search(c, target, max_weight)
+    assert pool == sorted_enumeration_oracle(c, target, max_weight)
+    keys = [(w.bit_count(), w) for w in pool.words]
+    assert keys == sorted(set(keys))
+    assert all(w <= max_weight for w, _ in keys)
+    check_pool(c, pool)
 
 
 def test_low_weight_search_random_route():
@@ -139,6 +217,8 @@ def test_low_weight_search_random_route():
     assert len(set(pool.words)) == len(pool.words)
     again = low_weight_dual_search(c, target_count=30, max_weight=14, seed=3)
     assert again.words == pool.words
+    with pytest.raises(ValueError, match="max_weight"):
+        low_weight_dual_search(c, target_count=30, max_weight=0, seed=3)
 
 
 def test_four_cycle_count_matches_brute():
