@@ -265,9 +265,7 @@ class ConstructionResult:
 
 
 def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
-                                     max_resamples: int = 200,
-                                     pcm_trials: int = 32,
-                                     pool_target: int | None = None
+                                     max_resamples: int = 200
                                      ) -> ConstructionResult:
     """Build an (n, k) code that owns a designed sparse automorphism.
 
@@ -282,8 +280,10 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         raise ValueError("need 0 < k < n")
     if delta_obj < 0:
         raise ValueError("delta_obj must be non-negative")
-    if pool_target is not None and pool_target < 1:
-        raise ValueError(f"pool_target must be positive, got {pool_target}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if max_resamples < 1:
+        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
     ordering_failures = 0
     reduction_failures = 0
     for attempt in range(1, max_resamples + 1):
@@ -297,8 +297,9 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         starts = np.concatenate(([0], np.cumsum(fb.block_sizes))).tolist()
         col_order = [c for b in order
                      for c in range(starts[b], starts[b] + fb.block_sizes[b])]
-        basis = invert(fb.transform).take_cols(col_order)
-        basis_inv = invert(basis)
+        # permuting the columns of S^-1 permutes the rows of S
+        basis_inv = fb.transform.take_rows(col_order)
+        basis = invert(basis_inv)
         conj = basis_inv @ t @ basis
         if any(conj.row_bits(i) >> (n - k) for i in range(n - k)):
             raise AssertionError("reordered form kept a nonzero upper-right block")
@@ -312,16 +313,15 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         aut = GeneralizedAutomorphism.from_matrix(t1)
         pool_seed = int(rng.integers(0, 2**63))
         opt_seed = int(rng.integers(0, 2**63))
-        target = (pool_target if pool_target is not None
-                  else max(8 * (code1.n - code1.k), 256))
-        pool = low_weight_dual_search(code1, target_count=target,
-                                      max_weight=code1.n, seed=pool_seed)
+        pool = low_weight_dual_search(
+            code1, target_count=max(8 * (code1.n - code1.k), 256),
+            max_weight=code1.n, seed=pool_seed)
         # the lightest words alone may not span; the PCM optimizer needs a
         # spanning pool, and the current rows of H always provide one
         merged = sorted(set(pool.words) | set(code1.h),
                         key=lambda w: (w.bit_count(), w))
         pool = DualWordPool(tuple(merged), code1.n, pool.complete)
-        code2 = optimize_pcm(code1, pool, trials=pcm_trials, seed=opt_seed)
+        code2 = optimize_pcm(code1, pool, seed=opt_seed)
         if not verify_automorphism(code2, t1):
             raise AssertionError("constructed matrix failed the automorphism check")
         return ConstructionResult(

@@ -67,6 +67,11 @@ def _cmd_construct(args, parser: _Parser) -> int:
         parser.error(f"need 0 < k < n, got n={args.n} k={args.k}")
     if args.delta < 0:
         parser.error("delta must be non-negative")
+    if args.max_resamples < 1:
+        return _fail(f"--max-resamples must be at least 1, "
+                     f"got {args.max_resamples}")
+    if args.seed < 0:
+        return _fail(f"--seed must be non-negative, got {args.seed}")
     try:
         res = construct_code_with_automorphism(
             args.n, args.k, delta_obj=args.delta, seed=args.seed,
@@ -120,12 +125,31 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
-def _bool_key(raw: dict, key: str, default: str) -> bool:
-    word = raw.get(key, default).lower()
-    if word not in _BOOL_WORDS:
-        raise ValueError(f"{key} must be one of {', '.join(_BOOL_WORDS)}, "
-                         f"got {word!r}")
-    return _BOOL_WORDS[word]
+def _bool(word: str) -> bool:
+    return _BOOL_WORDS[word.lower()]
+
+
+_EXPECTED = {int: "an integer", float: "a number",
+             _bool: f"one of {', '.join(_BOOL_WORDS)}"}
+
+
+def _typed_key(raw: dict, key: str, parse, default: str,
+               listed: bool = False):
+    """Parse one typed config value, or a comma list of them if listed.
+
+    parse is int, float or _bool; a value it rejects raises ValueError
+    naming the key.
+    """
+    text = raw.get(key, default)
+    try:
+        if listed:
+            return tuple(parse(x) for x in text.split(","))
+        return parse(text)
+    except (KeyError, ValueError):
+        expected = _EXPECTED[parse]
+        if listed:
+            expected = f"a comma-separated list of values, each {expected}"
+        raise ValueError(f"{key} must be {expected}, got {text!r}") from None
 
 
 _SIM_KEYS = {"dir", "h", "t", "decoder", "iterations", "normalization",
@@ -156,16 +180,15 @@ def _cmd_simulate(args) -> int:
         else:
             return _fail("config needs either dir= or h=")
         code = LinearCode.from_pcm(h)
-        powers = tuple(int(x) for x in
-                       raw.get("gaed_powers", "0,1,-1").split(","))
         spec = DecoderSpec(
             kind=raw.get("decoder", ""),
-            iterations=int(raw.get("iterations", "20")),
-            normalization=float(raw.get("normalization", "0.75")),
-            early_stop=_bool_key(raw, "early_stop", "true"),
-            ell=int(raw.get("ell", "3")),
-            osd_order=int(raw.get("osd_order", "3")),
-            powers=powers)
+            iterations=_typed_key(raw, "iterations", int, "20"),
+            normalization=_typed_key(raw, "normalization", float, "0.75"),
+            early_stop=_typed_key(raw, "early_stop", _bool, "true"),
+            ell=_typed_key(raw, "ell", int, "3"),
+            osd_order=_typed_key(raw, "osd_order", int, "3"),
+            powers=_typed_key(raw, "gaed_powers", int, "0,1,-1",
+                              listed=True))
         aut = None
         if spec.kind == "gaed":
             if t is None:
@@ -180,12 +203,13 @@ def _cmd_simulate(args) -> int:
         if "ebn0_db" not in raw:
             return _fail("config needs ebn0_db=")
         cfg = SweepConfig(
-            ebn0_db=tuple(float(x) for x in raw["ebn0_db"].split(",")),
-            min_frame_errors=int(raw.get("min_frame_errors", "300")),
-            max_frames=int(raw.get("max_frames", "1000000")),
-            seed=int(raw.get("seed", "0")),
-            workers=int(raw.get("workers", "1")),
-            random_codewords=_bool_key(raw, "random_codewords", "false"))
+            ebn0_db=_typed_key(raw, "ebn0_db", float, "", listed=True),
+            min_frame_errors=_typed_key(raw, "min_frame_errors", int, "300"),
+            max_frames=_typed_key(raw, "max_frames", int, "1000000"),
+            seed=_typed_key(raw, "seed", int, "0"),
+            workers=_typed_key(raw, "workers", int, "1"),
+            random_codewords=_typed_key(raw, "random_codewords", _bool,
+                                        "false"))
         out = (base / raw["out"]).resolve() if "out" in raw else None
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))

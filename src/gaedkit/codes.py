@@ -14,9 +14,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, independent_rows, null_space_basis, rank
+from .gf2 import BitMatrix, independent_rows, null_space_basis, rank, xor_rows
 
 _WORD_MASK = (1 << 64) - 1
+# combinations of this many rows form one packed enumeration chunk
+_CHUNK_BITS = 18
 
 
 class ReductionError(ValueError):
@@ -74,11 +76,8 @@ class LinearCode:
         bits = np.asarray(message, dtype=np.uint8).reshape(-1)
         if bits.size != self.k:
             raise ValueError(f"message must have {self.k} bits")
-        word = 0
-        for i in range(self.k):
-            if bits[i] & 1:
-                word ^= self.g.row_bits(i)
-        return _unpack_bits(word, self.n)
+        mask = sum(1 << i for i in np.flatnonzero(bits & 1).tolist())
+        return _unpack_bits(xor_rows(tuple(self.g), mask), self.n)
 
     def codeword_table(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 array; small k only."""
@@ -135,18 +134,14 @@ def _combination_table(rows: list[int], n: int) -> np.ndarray:
     return table
 
 
-def _iter_combination_chunks(rows: list[int], n: int,
-                             chunk_bits: int = 18) -> Iterator[tuple[int, np.ndarray]]:
+def _iter_combination_chunks(rows: list[int], n: int
+                             ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (base_mask, packed chunk) covering all 2^len combinations."""
-    low = min(len(rows), chunk_bits)
+    low = min(len(rows), _CHUNK_BITS)
     table = _combination_table(rows[:low], n)
     high_rows = rows[low:]
     for hi in range(1 << len(high_rows)):
-        base, m = 0, hi
-        while m:
-            b = m & -m
-            base ^= high_rows[b.bit_length() - 1]
-            m ^= b
+        base = xor_rows(high_rows, hi)
         if base:
             yield hi << low, table ^ _pack_rows([base], n)[0]
         else:
@@ -289,12 +284,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
             mm = 0
             for part in chunk_row:
                 mm = (mm << 63) | part
-            mm &= mask_limit
-            word = 0
-            while mm:
-                b = mm & -mm
-                word ^= hrows[b.bit_length() - 1]
-                mm ^= b
+            word = xor_rows(hrows, mm & mask_limit)
             if word and word.bit_count() <= max_weight:
                 collected.add(word)
     words = sorted(collected, key=lambda v: (v.bit_count(), v))[:target_count]
@@ -330,6 +320,8 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool, trials: int = 32,
     `trials` times and the (total weight, four-cycle count) lexicographic
     best is kept. The returned code has the identical null space.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     r = c.n - c.k
     words = list(pool.words)
     check_pool(c, pool)
@@ -339,7 +331,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool, trials: int = 32,
     rng = np.random.default_rng(seed)
     best: tuple[int, int] | None = None
     best_rows: list[int] = []
-    for trial in range(max(1, trials)):
+    for trial in range(trials):
         if trial == 0:
             order = sorted(range(len(words)), key=lambda i: (weights[i], words[i]))
         else:

@@ -20,7 +20,7 @@ import numpy as np
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector
 from .codes import DualWordPool, LinearCode, check_pool
-from .gf2 import BitMatrix, independent_rows, rank
+from .gf2 import BitMatrix, independent_rows, invert, rank
 
 
 def _pair_box_plus(a, b):
@@ -273,15 +273,14 @@ class GaedEnsemble:
     ties go to the lowest path index.
     """
 
-    def __init__(self, code: LinearCode, auts,
-                 validate: bool = True):
+    def __init__(self, code: LinearCode, auts):
         auts = list(auts)
         if not auts:
             raise ValueError("ensemble needs at least one path")
         for a in auts:
             if a.n != code.n:
                 raise ValueError("automorphism size does not match the code")
-            if validate and not verify_automorphism(code, a.matrix):
+            if not verify_automorphism(code, a.matrix):
                 raise ValueError("matrix is not an automorphism of the code")
         self.code = code
         self.graph = TannerGraph.from_pcm(code.h)
@@ -382,10 +381,15 @@ def _flip_patterns(k: int, order: int) -> tuple[np.ndarray, ...]:
 def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
     """Ordered-statistics decoding of the given order.
 
-    Re-encodes every flip pattern of weight at most `order` on the most
-    reliable independent positions and keeps the candidate with the highest
-    correlation to the channel LLRs. Candidate enumeration is ordered by
-    weight then lexicographic pattern, so ties resolve deterministically.
+    The information set is the first k positions, in decreasing
+    reliability, that `independent_rows` yields over the columns of G.
+    The reduced generator is G multiplied on the left by the inverse
+    (`invert`) of G's columns on that set: row i is the codeword that is 1
+    at the i-th information position and 0 at the others. Every flip
+    pattern of weight at most `order` on the information set is
+    re-encoded, and the candidate with the highest correlation to the
+    channel LLRs is kept. Candidate enumeration is ordered by weight then
+    lexicographic pattern, so ties resolve deterministically.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -393,31 +397,15 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
         raise ValueError("LLR length does not match the code")
     vals = llrs.values
     perm = np.argsort(-np.abs(vals), kind="stable")
-    work = code.g_numpy()[:, perm].copy()
-    k, n = work.shape
-    # Gauss-Jordan onto the leftmost (most reliable) independent columns
-    basis_cols = []
-    r = 0
-    for col in range(n):
-        if r == k:
-            break
-        hit = np.flatnonzero(work[r:, col]) + r
-        if hit.size == 0:
-            continue
-        if hit[0] != r:
-            work[[r, hit[0]]] = work[[hit[0], r]]
-        others = np.flatnonzero(work[:, col])
-        for row in others:
-            if row != r:
-                work[row] ^= work[r]
-        basis_cols.append(col)
-        r += 1
-    if r != k:
-        raise AssertionError("generator lost rank during OSD reduction")
-    hard_sorted = (vals[perm] < 0).astype(np.uint8)
-    base = (hard_sorted[basis_cols].astype(np.int32) @ work.astype(np.int32)
-            & 1).astype(np.uint8)
+    cols = list(code.g.transpose())
+    k = code.k
+    info = [int(perm[i]) for i in
+            itertools.islice(independent_rows(cols[j] for j in perm), k)]
+    work = (invert(code.g.take_cols(info)) @ code.g).to_numpy()[:, perm]
+    hard = (vals < 0).astype(np.uint8)
     weights = vals[perm]
+    base = (hard[info].astype(np.int32) @ work.astype(np.int32)
+            & 1).astype(np.uint8)
     best_cand = base
     best_corr = float(((1.0 - 2.0 * base) * weights).sum())
     for combos in _flip_patterns(k, order):
@@ -430,7 +418,7 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
         if corrs[top] > best_corr:
             best_corr = float(corrs[top])
             best_cand = cands[top]
-    out = np.empty(n, dtype=np.uint8)
+    out = np.empty(code.n, dtype=np.uint8)
     out[perm] = best_cand
     return DecodeOutcome(out, True, 0, 0, best_corr)
 

@@ -17,7 +17,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .gf2 import (BitMatrix, Reducer, block_diagonal, companion_matrix,
-                  invert, reducer_order, solve_left)
+                  invert, reducer_order, solve_left, xor_rows)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -34,18 +34,8 @@ class FrobeniusForm:
         return tuple(f.degree for f in self.blocks)
 
 
-def _matvec(tt_rows: tuple[int, ...], v: int) -> int:
-    """t @ v with tt_rows the rows of t transposed (columns of t)."""
-    acc = 0
-    while v:
-        low = v & -v
-        acc ^= tt_rows[low.bit_length() - 1]
-        v ^= low
-    return acc
-
-
 def _apply_poly(tt_rows: tuple[int, ...], f: Gf2Poly, v: int) -> int:
-    """f(t) @ v, evaluated power by power."""
+    """f(t) @ v, evaluated power by power; tt_rows holds the columns of t."""
     acc = 0
     cur = v
     bits = f.bits
@@ -54,7 +44,7 @@ def _apply_poly(tt_rows: tuple[int, ...], f: Gf2Poly, v: int) -> int:
             acc ^= cur
         bits >>= 1
         if bits:
-            cur = _matvec(tt_rows, cur)
+            cur = xor_rows(tt_rows, cur)
     return acc
 
 
@@ -72,7 +62,7 @@ def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
         if not res:
             return Gf2Poly((1 << j) ^ combo)
         insort(local.rows, (res, combo ^ (1 << j)), key=reducer_order)
-        cur = _matvec(tt_rows, cur)
+        cur = xor_rows(tt_rows, cur)
         j += 1
 
 
@@ -128,13 +118,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
             combo = 0 if y == 0 else None
         if combo is None:
             raise AssertionError("cyclic deflation lost solvability")
-        w_fix = 0
-        c = combo
-        while c:
-            low = c & -c
-            w_fix ^= chain_vectors[low.bit_length() - 1]
-            c ^= low
-        u = w ^ w_fix
+        u = w ^ xor_rows(chain_vectors, combo)
         if _apply_poly(tt_rows, fw, u):
             raise AssertionError("corrected generator is not annihilated")
 
@@ -143,7 +127,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
             if not span.insert(cur):
                 raise AssertionError("cyclic chain collapsed")
             chain_vectors.append(cur)
-            cur = _matvec(tt_rows, cur)
+            cur = xor_rows(tt_rows, cur)
         raw_blocks.append((u, fw))
 
     # split each invariant-factor block into prime-power companion blocks
@@ -159,7 +143,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
             cur = gen
             for _ in range(pe.degree):
                 vectors.append(cur)
-                cur = _matvec(tt_rows, cur)
+                cur = xor_rows(tt_rows, cur)
             blocks.append(pe)
 
     basis = BitMatrix(vectors, n).transpose()  # chain vectors as columns

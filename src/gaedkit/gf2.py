@@ -134,16 +134,8 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        orows = other._bits
-        out = []
-        for a in self._bits:
-            acc = 0
-            while a:
-                low = a & -a
-                acc ^= orows[low.bit_length() - 1]
-                a ^= low
-            out.append(acc)
-        return BitMatrix(out, other.cols)
+        return BitMatrix((xor_rows(other._bits, a) for a in self._bits),
+                         other.cols)
 
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.cols
@@ -204,6 +196,16 @@ class BitMatrix:
         return out
 
 
+def xor_rows(rows: Sequence[int], mask: int) -> int:
+    """XOR of the rows that the set bits of mask pick (bit i picks rows[i])."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def _echelon(bits: list[int]) -> tuple[list[int], list[int]]:
     """In-place row echelon; returns (rows, pivot column per kept row)."""
     pivots: list[int] = []
@@ -231,34 +233,22 @@ def rank(m: BitMatrix) -> int:
 
 
 def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2); raises SingularMatrixError when none exists."""
+    """Inverse over GF(2); raises SingularMatrixError when none exists.
+
+    Reduces the rows (m_i << n) | (1 << i): m is invertible exactly when
+    every pivot lands in the high half, and then the row with pivot n + c
+    is e_c << n plus row c of the inverse.
+    """
     n = m.rows
     if n != m.cols:
         raise ValueError("inverse requires a square matrix")
-    # augmented rows: [row | identity] with the tracker in the high bits
-    aug = [m.row_bits(i) | (1 << (n + i)) for i in range(n)]
-    mask = (1 << n) - 1
-    piv_of_col: dict[int, int] = {}
-    for i in range(n):
-        v = aug[i]
-        # stored rows are mutually reduced, so one pass clears every
-        # claimed pivot column from v
-        for col, prow in piv_of_col.items():
-            if (v >> col) & 1:
-                v ^= aug[prow]
-        lead = v & mask
-        if not lead:
-            raise SingularMatrixError("matrix is singular")
-        col = lead.bit_length() - 1
-        for j in range(i):
-            if (aug[j] >> col) & 1:
-                aug[j] ^= v
-        aug[i] = v
-        piv_of_col[col] = i
+    bits, pivots = _echelon([(r << n) | (1 << i) for i, r in enumerate(m)])
+    if any(p < n for p in pivots):
+        raise SingularMatrixError("matrix is singular")
     out = [0] * n
-    for row in aug:
-        col = (row & mask).bit_length() - 1
-        out[col] = row >> n
+    low = (1 << n) - 1
+    for row, p in zip(bits, pivots):
+        out[p - n] = row & low
     return BitMatrix(out, n)
 
 

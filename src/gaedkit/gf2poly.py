@@ -166,10 +166,6 @@ def coprime_split(a: Gf2Poly, b: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
     return u, v
 
 
-def _mulmod(a: Gf2Poly, b: Gf2Poly, mod: Gf2Poly) -> Gf2Poly:
-    return (a * b) % mod
-
-
 def _pow2k_mod(a: Gf2Poly, k: int, mod: Gf2Poly) -> Gf2Poly:
     """a^(2^k) mod `mod` by repeated Frobenius squaring."""
     r = a % mod

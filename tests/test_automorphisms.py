@@ -12,7 +12,7 @@ from gaedkit.automorphisms import (Ccm, ConstructionError,
                                    membership_in_z, order_blocks,
                                    random_z_block, sample_sparse_invertible,
                                    verify_automorphism)
-from gaedkit.codes import LinearCode
+from gaedkit.codes import DualWordPool, LinearCode, optimize_pcm
 from gaedkit.gf2 import BitMatrix, SingularMatrixError, invert, rank
 
 HAMMING_74_H = BitMatrix.from_rows([
@@ -251,5 +251,13 @@ def test_construction_validation():
     with pytest.raises(ValueError, match="non-negative"):
         construct_code_with_automorphism(8, 4, -1, seed=0)
     for bad in (0, -3):
-        with pytest.raises(ValueError, match="pool_target"):
-            construct_code_with_automorphism(8, 4, 0, seed=0, pool_target=bad)
+        with pytest.raises(ValueError, match="max_resamples"):
+            construct_code_with_automorphism(8, 4, 0, seed=0,
+                                             max_resamples=bad)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        construct_code_with_automorphism(8, 4, 0, seed=-1)
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    pool = DualWordPool(tuple(code.h), code.n, True)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            optimize_pcm(code, pool, trials=bad)

@@ -82,6 +82,17 @@ def test_construct_impossible_delta_is_validation_error(tmp_path, capsys):
     assert "impossible" in capsys.readouterr().err
 
 
+def test_construct_rejects_bad_budget_and_seed(tmp_path, capsys):
+    for flag, value in (("--max-resamples", "0"), ("--max-resamples", "-3"),
+                        ("--seed", "-1")):
+        out = tmp_path / "bad"
+        rc = main(["construct", "-n", "8", "-k", "4", flag, value,
+                   "--out", str(out)])
+        assert rc == 2, flag
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_construct_budget_exhaustion(tmp_path, capsys):
     # at (32, 16, delta 10) this seed needs a second attempt
     out = tmp_path / "tight"
@@ -236,6 +247,19 @@ def test_simulate_config_validation(tmp_path, capsys):
          "early_stop must be one of true, false, 1, 0, yes, no, got 'maybe'"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0",
           "random_codewords = maybe"], "random_codewords must be one of"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "iterations = ten"],
+         "iterations must be an integer, got 'ten'"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "max_frames = 1e3"],
+         "max_frames must be an integer, got '1e3'"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0",
+          "normalization = high"], "normalization must be a number"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0,x"],
+         "ebn0_db must be a comma-separated list of values, each a number, "
+         "got '1.0,x'"),
+        (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0",
+          "gaed_powers = 0,,1"],
+         "gaed_powers must be a comma-separated list of values, each an "
+         "integer, got '0,,1'"),
         (["h = missing.txt", "decoder = bp", "ebn0_db = 1.0"], ""),
     ]
     for lines, needle in cases:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, block_diagonal,
                          char_poly, column_reduce, companion_matrix,
                          independent_rows, invert, null_space_basis, rank,
-                         solve_left)
+                         solve_left, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -156,6 +158,51 @@ def test_invert():
         invert(singular)
     with pytest.raises(ValueError):
         invert(BitMatrix.zeros(2, 3))
+
+
+def augmented_invert(m: BitMatrix) -> BitMatrix:
+    """The augmented Gauss-Jordan that invert replaced, kept as oracle."""
+    n = m.rows
+    aug = [m.row_bits(i) | (1 << (n + i)) for i in range(n)]
+    mask = (1 << n) - 1
+    piv_of_col = {}
+    for i in range(n):
+        v = aug[i]
+        for col, prow in piv_of_col.items():
+            if (v >> col) & 1:
+                v ^= aug[prow]
+        lead = v & mask
+        if not lead:
+            raise SingularMatrixError("matrix is singular")
+        col = lead.bit_length() - 1
+        for j in range(i):
+            if (aug[j] >> col) & 1:
+                aug[j] ^= v
+        aug[i] = v
+        piv_of_col[col] = i
+    out = [0] * n
+    for row in aug:
+        out[(row & mask).bit_length() - 1] = row >> n
+    return BitMatrix(out, n)
+
+
+def test_invert_matches_augmented_oracle():
+    rng = np.random.default_rng(18)
+    cases = [random_matrix(rng, n, n) for n in rng.integers(0, 9, size=2000)]
+    for n in (16, 32, 64, 128):
+        cases += [random_matrix(rng, n, n) for _ in range(6)]
+        cases += [BitMatrix.random_invertible(n, rng) for _ in range(6)]
+    singular = 0
+    for m in cases:
+        try:
+            want = augmented_invert(m)
+        except SingularMatrixError:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+            continue
+        assert invert(m) == want
+    assert 0 < singular < len(cases)
 
 
 def test_random_invertible_is_invertible_and_seeded():
@@ -342,3 +389,50 @@ def test_block_diagonal():
     assert char_poly(d) == char_poly(a) * char_poly(b)
     with pytest.raises(ValueError):
         block_diagonal([BitMatrix.zeros(2, 3)])
+
+
+# -- properties -----------------------------------------------------------
+
+@st.composite
+def bit_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 9)) if rows is None else rows
+    cols = draw(st.integers(0, 9)) if cols is None else cols
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1),
+                         min_size=rows, max_size=rows))
+    return BitMatrix(bits, cols)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(m=st.integers(0, 9).flatmap(lambda n: bit_matrices(rows=n, cols=n)))
+def test_invert_property(m):
+    if rank(m) == m.rows:
+        eye = BitMatrix.identity(m.rows)
+        assert invert(m) @ m == eye and m @ invert(m) == eye
+    else:
+        with pytest.raises(SingularMatrixError):
+            invert(m)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(rows=bit_matrices(), data=st.data())
+def test_xor_rows_property(rows, data):
+    mask = data.draw(st.integers(0, (1 << rows.rows) - 1))
+    naive = naive_mul(BitMatrix([mask], rows.rows), rows)
+    assert xor_rows(list(rows), mask) == naive.row_bits(0)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(dims=st.lists(st.integers(0, 7), min_size=4, max_size=4),
+       data=st.data())
+def test_matmul_associative_property(dims, data):
+    p, q, r, t = dims
+    a = data.draw(bit_matrices(rows=p, cols=q))
+    b = data.draw(bit_matrices(rows=q, cols=r))
+    c = data.draw(bit_matrices(rows=r, cols=t))
+    assert (a @ b) @ c == a @ (b @ c)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(m=bit_matrices())
+def test_independent_rows_count_property(m):
+    assert len(list(independent_rows(m))) == rank(m)
