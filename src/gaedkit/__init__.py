@@ -19,6 +19,7 @@ from .gf2 import BitMatrix, SingularMatrixError, column_reduce, invert, rank
 from .gf2poly import Gf2Poly, factor, is_irreducible, poly_gcd, poly_lcm
 from .matio import (read_alist, read_dense, read_kv, write_alist, write_dense,
                     write_kv)
+from .osd import osd_decode_batch
 from .sweep import (DecoderSpec, FerRecord, SweepConfig, format_records,
                     run_sweep, write_csv)
 
@@ -35,9 +36,10 @@ __all__ = [
     "factor", "format_records", "four_cycle_count", "frobenius_normal_form",
     "gaed_decode", "invert", "is_irreducible", "low_weight_dual_search",
     "membership_in_z", "min_distance", "ml_decode", "optimize_pcm",
-    "order_blocks", "osd_decode", "poly_gcd", "poly_lcm", "power_ensemble",
-    "preprocess_llrs", "random_z_block", "rank", "read_alist", "read_dense",
-    "read_kv", "reduce_zero_columns", "redundant_row_decode", "run_sweep",
+    "order_blocks", "osd_decode", "osd_decode_batch", "poly_gcd", "poly_lcm",
+    "power_ensemble", "preprocess_llrs", "random_z_block", "rank",
+    "read_alist", "read_dense", "read_kv", "reduce_zero_columns",
+    "redundant_row_decode", "run_sweep",
     "sample_sparse_invertible", "stack_redundant_pcm", "verify_automorphism",
     "weight_distribution", "write_alist", "write_csv", "write_dense",
     "write_kv",

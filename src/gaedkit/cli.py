@@ -231,6 +231,12 @@ def _cmd_verify(args) -> int:
     d = Path(args.code_dir)
     try:
         manifest = read_kv(d / "manifest.txt")
+        try:
+            declared = {key: _typed_key(manifest, key, int, "-1")
+                        for key in ("omega_t", "omega_t_inv", "omega_t_sq",
+                                    "delta_t")}
+        except ValueError as e:
+            raise ValueError(f"{d / 'manifest.txt'}: {e}") from None
         h = read_dense(d / "H.txt")
         h_alist = read_alist(d / "H.alist")
         t = read_dense(d / "T.txt")
@@ -254,12 +260,10 @@ def _cmd_verify(args) -> int:
          list(normal) == [1 << i for i in range(r)]),
         ("basis_inverse_top_is_pcm",
          rank(a) == code.n and list(invert(a))[:r] == list(code.h)),
-        ("omega_t", t.weight == int(manifest.get("omega_t", "-1"))),
-        ("omega_t_inv",
-         t_inv.weight == int(manifest.get("omega_t_inv", "-1"))),
-        ("omega_t_sq", t_sq.weight == int(manifest.get("omega_t_sq", "-1"))),
-        ("delta_t",
-         t.weight - code.n == int(manifest.get("delta_t", "-1"))),
+        ("omega_t", t.weight == declared["omega_t"]),
+        ("omega_t_inv", t_inv.weight == declared["omega_t_inv"]),
+        ("omega_t_sq", t_sq.weight == declared["omega_t_sq"]),
+        ("delta_t", t.weight - code.n == declared["delta_t"]),
     ]
     ok = True
     for name, passed in checks:

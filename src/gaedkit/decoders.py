@@ -11,16 +11,15 @@ keep the most likely candidate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector
 from .codes import DualWordPool, LinearCode, check_pool
-from .gf2 import BitMatrix, independent_rows, invert, rank
+from .gf2 import BitMatrix, independent_rows, rank
+from .osd import osd_decode_batch
 
 
 def _pair_box_plus(a, b):
@@ -368,59 +367,11 @@ def redundant_row_decode(code: LinearCode, pool: DualWordPool, ell: int,
     return bp_min_sum(stack_redundant_pcm(code, pool, ell), llrs, cfg)
 
 
-@lru_cache(maxsize=32)
-def _flip_patterns(k: int, order: int) -> tuple[np.ndarray, ...]:
-    groups = []
-    for w in range(1, order + 1):
-        combos = list(itertools.combinations(range(k), w))
-        if combos:
-            groups.append(np.array(combos, dtype=np.int64))
-    return tuple(groups)
-
-
 def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
-    """Ordered-statistics decoding of the given order.
-
-    The information set is the first k positions, in decreasing
-    reliability, that `independent_rows` yields over the columns of G.
-    The reduced generator is G multiplied on the left by the inverse
-    (`invert`) of G's columns on that set: row i is the codeword that is 1
-    at the i-th information position and 0 at the others. Every flip
-    pattern of weight at most `order` on the information set is
-    re-encoded, and the candidate with the highest correlation to the
-    channel LLRs is kept. Candidate enumeration is ordered by weight then
-    lexicographic pattern, so ties resolve deterministically.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if len(llrs) != code.n:
-        raise ValueError("LLR length does not match the code")
-    vals = llrs.values
-    perm = np.argsort(-np.abs(vals), kind="stable")
-    cols = list(code.g.transpose())
-    k = code.k
-    info = [int(perm[i]) for i in
-            itertools.islice(independent_rows(cols[j] for j in perm), k)]
-    work = (invert(code.g.take_cols(info)) @ code.g).to_numpy()[:, perm]
-    hard = (vals < 0).astype(np.uint8)
-    weights = vals[perm]
-    base = (hard[info].astype(np.int32) @ work.astype(np.int32)
-            & 1).astype(np.uint8)
-    best_cand = base
-    best_corr = float(((1.0 - 2.0 * base) * weights).sum())
-    for combos in _flip_patterns(k, order):
-        flips = work[combos[:, 0]]
-        for c in range(1, combos.shape[1]):
-            flips = flips ^ work[combos[:, c]]
-        cands = base[None, :] ^ flips
-        corrs = (1.0 - 2.0 * cands.astype(np.float64)) @ weights
-        top = int(corrs.argmax())
-        if corrs[top] > best_corr:
-            best_corr = float(corrs[top])
-            best_cand = cands[top]
-    out = np.empty(code.n, dtype=np.uint8)
-    out[perm] = best_cand
-    return DecodeOutcome(out, True, 0, 0, best_corr)
+    """Ordered-statistics decoding of one frame: the one-row call of
+    `osd_decode_batch`, with its checks, its tie rule and its result."""
+    hard, corr = osd_decode_batch(code, llrs.values[None, :], order)
+    return DecodeOutcome(hard[0], True, 0, 0, float(corr[0]))
 
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:

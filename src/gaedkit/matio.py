@@ -113,6 +113,8 @@ def read_alist(path) -> BitMatrix:
             raise ValueError(f"{path}: row {i} degree mismatch")
     if bits != check_bits:
         raise ValueError(f"{path}: row and column adjacency lists disagree")
+    if next(it, None) is not None:
+        raise ValueError(f"{path}: data after the last adjacency list")
     return BitMatrix(bits, cols)
 
 

@@ -23,10 +23,11 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism
-from .channel import awgn_llr_batch, LlrVector
+from .channel import awgn_llr_batch
 from .codes import DualWordPool, LinearCode, low_weight_dual_search
 from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
-                       osd_decode, power_ensemble, stack_redundant_pcm)
+                       power_ensemble, stack_redundant_pcm)
+from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
 
@@ -125,14 +126,6 @@ class FerRecord:
     elapsed_s: float
 
 
-def _osd_batch(code: LinearCode, order: int,
-               llrs: np.ndarray) -> tuple[np.ndarray]:
-    out = np.empty((llrs.shape[0], code.n), dtype=np.uint8)
-    for f in range(llrs.shape[0]):
-        out[f] = osd_decode(code, LlrVector(llrs[f]), order).hard_bits
-    return (out,)
-
-
 class _Runtime:
     """A sweep's decoder, built once and handed as is to every worker.
 
@@ -155,7 +148,7 @@ class _Runtime:
             ens = GaedEnsemble(code, power_ensemble(aut, spec.powers))
             self.decode = partial(ens.decode_batch, cfg=cfg)
         elif spec.kind == "osd":
-            self.decode = partial(_osd_batch, code, spec.osd_order)
+            self.decode = partial(osd_decode_batch, code, order=spec.osd_order)
         else:
             if spec.kind == "rr":
                 if pool is None:

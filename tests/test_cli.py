@@ -1,13 +1,21 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaedkit.automorphisms import verify_automorphism
 from gaedkit.cli import main
 from gaedkit.codes import LinearCode
 from gaedkit.gf2 import BitMatrix
-from gaedkit.matio import read_dense, read_kv, write_alist, write_dense
+from gaedkit.matio import (read_dense, read_kv, write_alist, write_dense,
+                           write_kv)
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -56,6 +64,21 @@ def test_verify_catches_tampered_t(tmp_path, capsys):
     report = capsys.readouterr().out
     assert rc == 2
     assert "FAIL" in report
+
+
+def test_verify_rejects_non_integer_manifest_weights(tmp_path, capsys):
+    rc, out = construct(tmp_path)
+    assert rc == 0
+    good = read_kv(out / "manifest.txt")
+    for key in ("omega_t", "omega_t_inv", "omega_t_sq", "delta_t"):
+        write_kv({**good, key: "twelve"}, out / "manifest.txt")
+        capsys.readouterr()
+        rc = main(["verify", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2, key
+        assert "manifest.txt" in captured.err and key in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_verify_missing_dir(tmp_path, capsys):
@@ -138,6 +161,38 @@ def test_dmin_errors(tmp_path, capsys):
     write_dense(BitMatrix.identity(3), full)
     assert main(["dmin", str(full)]) == 2
     capsys.readouterr()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(fmt=st.sampled_from(["dense", "alist"]), truncate=st.booleans(),
+       at=st.floats(0.0, 1.0, exclude_max=True),
+       char=st.sampled_from(["x", "#", "."]))
+def test_malformed_matrix_files_exit_two(fmt, truncate, at, char):
+    # Truncation drops at least one non-blank character; insertion adds a
+    # character neither format allows. Neither leaves a readable matrix.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        name = "H.alist" if fmt == "alist" else "H.txt"
+        path = tmp / name
+        (write_alist if fmt == "alist" else write_dense)(HAMMING_74_H, path)
+        text = path.read_text()
+        if truncate:
+            text = text[:int(at * len(text.rstrip()))]
+        else:
+            pos = int(at * (len(text) + 1))
+            text = text[:pos] + char + text[pos:]
+        path.write_text(text)
+        (tmp / "sim.cfg").write_text(
+            f"h = {name}\ndecoder = bp\nebn0_db = 1.0\nmax_frames = 64\n")
+        for argv in (["dmin", str(path)], ["simulate", str(tmp / "sim.cfg")]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = main(argv)
+            assert rc == 2, (argv[0], text)
+            assert name in err.getvalue(), (argv[0], err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert out.getvalue() == ""
 
 
 def write_sim_config(path, lines):

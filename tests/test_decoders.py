@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from gaedkit import osd
 from gaedkit.automorphisms import (GeneralizedAutomorphism,
                                    construct_code_with_automorphism)
 from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch
@@ -17,7 +22,8 @@ from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
                               ml_decode, ml_decode_batch, osd_decode,
                               power_ensemble, preprocess_llrs,
                               redundant_row_decode, stack_redundant_pcm)
-from gaedkit.gf2 import BitMatrix, rank
+from gaedkit.gf2 import BitMatrix, independent_rows, invert, rank
+from gaedkit.osd import osd_decode_batch
 
 mp.dps = 50
 
@@ -697,12 +703,183 @@ def test_osd_matches_gauss_jordan_oracle():
                 assert got.correlation == want_corr, (n, k, order)
 
 
+def per_frame_osd(code: LinearCode, llrs: LlrVector, order: int):
+    """The one-frame OSD that osd_decode_batch replaced, kept as oracle.
+
+    Information set from independent_rows over G's columns in reliability
+    order, reduced generator from invert. Returns (hard bits, correlation).
+    """
+    vals = llrs.values
+    perm = np.argsort(-np.abs(vals), kind="stable")
+    cols = list(code.g.transpose())
+    k = code.k
+    info = [int(perm[i]) for i in
+            itertools.islice(independent_rows(cols[j] for j in perm), k)]
+    work = (invert(code.g.take_cols(info)) @ code.g).to_numpy()[:, perm]
+    hard = (vals < 0).astype(np.uint8)
+    weights = vals[perm]
+    base = (hard[info].astype(np.int32) @ work.astype(np.int32)
+            & 1).astype(np.uint8)
+    best_cand = base
+    best_corr = float(((1.0 - 2.0 * base) * weights).sum())
+    for w in range(1, order + 1):
+        combos = np.array(list(itertools.combinations(range(k), w)),
+                          dtype=np.int64).reshape(-1, w)
+        if not combos.size:
+            continue
+        flips = work[combos[:, 0]]
+        for c in range(1, combos.shape[1]):
+            flips = flips ^ work[combos[:, c]]
+        cands = base[None, :] ^ flips
+        corrs = (1.0 - 2.0 * cands.astype(np.float64)) @ weights
+        top = int(corrs.argmax())
+        if corrs[top] > best_corr:
+            best_corr = float(corrs[top])
+            best_cand = cands[top]
+    out = np.empty(code.n, dtype=np.uint8)
+    out[perm] = best_cand
+    return out, best_corr
+
+
+def _pattern_bits(k: int, n: int, order: int) -> int:
+    """Candidate bits of the widest flip-pattern group for one frame."""
+    return max((math.comb(k, w) for w in range(1, order + 1)), default=0) * n
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+# the widest cases, which random draws rarely reach
+@example(seed=1, n=40, k_frac=1.0, order=4, frames=3, ties=False,
+         per_block=None)
+@example(seed=2, n=40, k_frac=1.0, order=4, frames=2, ties=True,
+         per_block=None)
+@example(seed=3, n=40, k_frac=0.5, order=4, frames=9, ties=False,
+         per_block=2)
+@example(seed=4, n=24, k_frac=0.5, order=3, frames=5, ties=True,
+         per_block=0)
+@example(seed=5, n=33, k_frac=0.9, order=3, frames=7, ties=False,
+         per_block=3)
+# codewords longer than one 64-bit word
+@example(seed=6, n=90, k_frac=0.5, order=2, frames=4, ties=False,
+         per_block=None)
+@example(seed=7, n=130, k_frac=0.3, order=2, frames=3, ties=True,
+         per_block=1)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       k_frac=st.floats(0.0, 1.0), order=st.integers(0, 4),
+       frames=st.integers(1, 9), ties=st.booleans(),
+       per_block=st.sampled_from([None, 1, 2, 3, 0]))
+def test_osd_batch_matches_per_frame_oracles(seed, n, k_frac, order, frames,
+                                             ties, per_block):
+    rng = np.random.default_rng(seed)
+    k = min(n - 1, 1 + int(k_frac * (n - 1)))
+    code = random_code(rng, n, n - k)
+    if ties:
+        # small integers: tied reliabilities, zero LLRs and tied scores
+        llrs = rng.integers(-3, 4, size=(frames, n)).astype(np.float64)
+    else:
+        llrs = awgn_llr_batch(np.zeros((frames, n), dtype=np.uint8), 1.0,
+                              k / n, rng)
+    widest = _pattern_bits(k, n, order)
+    budget = osd._OSD_CELL_BUDGET
+    if widest and per_block:
+        # blocks of per_block frames: the frame count is often not a multiple
+        budget = per_block * widest
+    elif widest and per_block == 0:
+        # the widest pattern group split into about three chunks
+        budget = max(n, widest // 3)
+    with mock.patch.object(osd, "_OSD_CELL_BUDGET", budget):
+        hard, corr = osd_decode_batch(code, llrs, order)
+    # a split group is scored by one matrix-vector product per chunk, whose
+    # float rounding may differ from one product over the whole group
+    exact = ties or widest <= budget
+    for f in range(frames):
+        row = LlrVector(llrs[f])
+        for oracle in (gauss_jordan_osd, per_frame_osd):
+            want_bits, want_corr = oracle(code, row, order)
+            assert np.array_equal(hard[f], want_bits), (oracle, f)
+            if exact:
+                assert corr[f] == want_corr, (oracle, f)
+            else:
+                assert corr[f] == pytest.approx(want_corr, rel=1e-12)
+
+
+def test_osd_tie_across_pattern_chunks_keeps_the_earlier():
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    llrs = np.array([[1.0, 3.0, -2.0, 0.0, 1.0, -1.0, 1.0]])
+    earlier = np.array([1, 0, 1, 1, 0, 1, 0], dtype=np.uint8)
+    later = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+    for cw in (earlier, later):
+        assert not (HAMMING_74_H.to_numpy() @ cw % 2).any()
+        assert ((1.0 - 2.0 * cw) * llrs[0]).sum() == 7.0
+    # weight-1 flips of information positions 2 and 3 both reach 7; the
+    # base scores 5. A budget of n bits puts each pattern in its own chunk.
+    with mock.patch.object(osd, "_OSD_CELL_BUDGET", code.n):
+        split = osd_decode_batch(code, llrs, 1)
+    whole = osd_decode_batch(code, llrs, 1)
+    for hard, corr in (split, whole):
+        assert np.array_equal(hard[0], earlier)
+        assert corr[0] == 7.0
+    assert np.array_equal(per_frame_osd(code, LlrVector(llrs[0]), 1)[0],
+                          earlier)
+
+
+def test_osd_batch_bounds_memory_at_large_k():
+    """k = 120 at order 3 is 280 840 patterns a frame; one float64 row per
+    pattern, as the per-frame decoder built, would be 288 MB."""
+    rng = np.random.default_rng(90)
+    code = random_code(rng, 128, 8)
+    llrs = awgn_llr_batch(np.zeros((2, 128), dtype=np.uint8), 3.0,
+                          code.rate, rng)
+    tracemalloc.start()
+    try:
+        hard, corr = osd_decode_batch(code, llrs, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert not (hard.astype(np.int64) @ code.h_numpy().T % 2).any()
+    assert np.allclose(corr, ((1.0 - 2.0 * hard) * llrs).sum(axis=1))
+    assert np.all(corr >= osd_decode_batch(code, llrs, 0)[1])
+
+
+def test_osd_batch_empty_and_single_row_agree_with_osd_decode():
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    hard, corr = osd_decode_batch(code, np.zeros((0, 7)), 2)
+    assert hard.shape == (0, 7) and hard.dtype == np.uint8
+    assert corr.shape == (0,)
+    rng = np.random.default_rng(91)
+    frames = awgn_llr_batch(np.zeros((5, 7), dtype=np.uint8), 2.0, 4 / 7, rng)
+    hard, corr = osd_decode_batch(code, frames, 2)
+    for f in range(5):
+        one = osd_decode(code, LlrVector(frames[f]), 2)
+        assert np.array_equal(one.hard_bits, hard[f])
+        assert one.correlation == corr[f]
+
+
 def test_osd_validation():
     code = LinearCode.from_pcm(HAMMING_74_H)
     with pytest.raises(ValueError, match="order"):
         osd_decode(code, LlrVector(np.ones(7)), -1)
     with pytest.raises(ValueError, match="length"):
         osd_decode(code, LlrVector(np.ones(6)), 1)
+    good = np.ones((3, 7))
+    with pytest.raises(ValueError, match="order"):
+        osd_decode_batch(code, good, -1)
+    bad_inputs = {
+        "one-dimensional": np.ones(7),
+        "three-dimensional": np.ones((1, 3, 7)),
+        "wrong length": np.ones((3, 6)),
+        "NaN": np.where(np.eye(3, 7, dtype=bool), np.nan, 1.0),
+        "infinity": np.where(np.eye(3, 7, dtype=bool), -np.inf, 1.0),
+        "beyond the clamp": np.full((3, 7), LLR_CLAMP + 1.0),
+    }
+    for what, llrs in bad_inputs.items():
+        with pytest.raises(ValueError, match="llrs"):
+            osd_decode_batch(code, llrs, 1)
+    # a generator with dependent rows has no information set of size k
+    g = code.g.to_numpy()
+    g[1] = g[0]
+    with pytest.raises(ValueError, match="rank deficient"):
+        osd_decode_batch(LinearCode(code.h, BitMatrix.from_numpy(g)), good, 1)
 
 
 def test_ml_decode_is_argmax_over_the_table():

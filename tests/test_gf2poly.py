@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaedkit.gf2poly import (ONE, X, ZERO, Gf2Poly, coprime_split,
                              distinct_degree_split, factor, is_irreducible,
@@ -143,19 +145,21 @@ def test_known_irreducibles():
     assert not is_irreducible(ZERO)
 
 
-def test_irreducible_matches_trial_division():
-    def brute(f):
-        if f.degree < 1:
-            return False
-        for d in range(1, f.degree):
-            for bits in range(1 << d, 1 << (d + 1)):
-                if (f % Gf2Poly(bits)).bits == 0:
-                    return False
-        return True
+def trial_division_irreducible(f: Gf2Poly) -> bool:
+    """Irreducibility by dividing f by every polynomial of lower degree."""
+    if f.degree < 1:
+        return False
+    for d in range(1, f.degree):
+        for bits in range(1 << d, 1 << (d + 1)):
+            if (f % Gf2Poly(bits)).bits == 0:
+                return False
+    return True
 
+
+def test_irreducible_matches_trial_division():
     for bits in range(2, 1 << 10):
         f = Gf2Poly(bits)
-        assert is_irreducible(f) == brute(f), str(f)
+        assert is_irreducible(f) == trial_division_irreducible(f), str(f)
 
 
 def test_factor_roundtrip_and_determinism():
@@ -175,6 +179,28 @@ def test_factor_roundtrip_and_determinism():
             for _ in range(e):
                 prod = prod * p
         assert prod == f
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(parts=st.lists(st.tuples(st.integers(2, (1 << 11) - 1),
+                                st.integers(1, 4)), min_size=1, max_size=6))
+def test_factor_property(parts):
+    # products of small polynomials with repeats, so every irreducible
+    # factor has degree below 11 and trial division stays cheap
+    f = ONE
+    for bits, e in parts:
+        for _ in range(e):
+            f = f * Gf2Poly(bits)
+    got = factor(f)
+    assert got == factor(f)
+    assert len({p for p, _ in got}) == len(got)
+    prod = ONE
+    for p, e in got:
+        assert e >= 1
+        assert trial_division_irreducible(p), str(p)
+        for _ in range(e):
+            prod = prod * p
+    assert prod == f
 
 
 def test_factor_known_cases():

@@ -101,6 +101,10 @@ def test_alist_errors(tmp_path):
     p.write_text("2 2\n1 1\n1 1\n1 1\nx\n1\n1\n2\n")
     with pytest.raises(ValueError, match="non-integer"):
         read_alist(p)
+    # a valid file followed by one more token
+    p.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n0\n")
+    with pytest.raises(ValueError, match="data after"):
+        read_alist(p)
 
 
 def test_kv_roundtrip(tmp_path):
