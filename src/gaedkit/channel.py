@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,10 +13,9 @@ LLR_CLAMP = 25.0
 
 @dataclass(frozen=True)
 class LlrVector:
-    """Immutable vector of finite LLRs with |value| bounded by clamp."""
+    """Immutable vector of finite LLRs with |value| at most LLR_CLAMP."""
 
     values: np.ndarray
-    clamp: float = LLR_CLAMP
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.float64)
@@ -24,10 +23,8 @@ class LlrVector:
             raise ValueError("LLR vector must be one-dimensional")
         if not np.all(np.isfinite(v)):
             raise ValueError("LLR vector contains NaN or infinity")
-        if self.clamp <= 0:
-            raise ValueError("clamp must be positive")
-        if np.any(np.abs(v) > self.clamp):
-            raise ValueError("LLR magnitude exceeds the clamp")
+        if np.any(np.abs(v) > LLR_CLAMP):
+            raise ValueError(f"LLR magnitude exceeds the clamp {LLR_CLAMP}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -45,26 +42,23 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
 
 
 def awgn_llr_batch(codewords: np.ndarray, ebn0_db: float, rate: float,
-                   rng: np.random.Generator,
-                   clamp: float = LLR_CLAMP) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Channel LLRs for a (frames, n) array of codeword bits.
 
     Bit 0 maps to +1 and bit 1 to -1; the LLR of each received sample y is
-    2y/sigma^2, clipped to +-clamp.
+    2y/sigma^2, clipped to +-LLR_CLAMP.
     """
     bits = np.asarray(codewords, dtype=np.float64)
     symbols = 1.0 - 2.0 * bits
     sigma = noise_sigma(ebn0_db, rate)
     y = symbols + sigma * rng.standard_normal(bits.shape)
-    return np.clip(2.0 * y / (sigma * sigma), -clamp, clamp)
+    return np.clip(2.0 * y / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)
 
 
 def awgn_llr(codeword_bits, ebn0_db: float, rate: float,
-             seed: int | np.random.Generator,
-             clamp: float = LLR_CLAMP) -> LlrVector:
+             seed: int | np.random.Generator) -> LlrVector:
     """Single-frame channel use; deterministic for a given seed."""
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     bits = np.asarray(codeword_bits, dtype=np.uint8).reshape(1, -1)
-    llrs = awgn_llr_batch(bits, ebn0_db, rate, rng, clamp)
-    return LlrVector(llrs[0], clamp)
+    return LlrVector(awgn_llr_batch(bits, ebn0_db, rate, rng)[0])

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix, independent_rows, null_space_basis, rank, xor_rows
+from .gf2 import (BitMatrix, independent_rows, ints_to_words, null_space_basis,
+                  rank, words_to_bits, words_to_ints, xor_rows)
 
-_WORD_MASK = (1 << 64) - 1
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
 
@@ -26,7 +26,10 @@ class ReductionError(ValueError):
 
 
 class LinearCode:
-    """An (n, k) binary linear code held as a parity-check/generator pair."""
+    """An (n, k) binary linear code held as a parity-check/generator pair.
+
+    Both matrices must have full row rank, so H has n - k rows and G has k.
+    """
 
     def __init__(self, h: BitMatrix, g: BitMatrix):
         if h.cols != g.cols:
@@ -35,6 +38,10 @@ class LinearCode:
         self.g = g
         self.n = h.cols
         self.k = g.rows
+        if rank(h) != h.rows:
+            raise ValueError("parity-check matrix is rank deficient")
+        if rank(g) != g.rows:
+            raise ValueError("generator matrix is rank deficient")
         if h.rows + g.rows != self.n:
             raise ValueError("H and G dimensions do not add up to n")
         if not (h @ g.transpose()).is_zero():
@@ -46,8 +53,6 @@ class LinearCode:
         """Build a code from a full-row-rank parity-check matrix."""
         if h.rows == 0 or h.cols == 0 or h.rows >= h.cols:
             raise ValueError(f"parity-check matrix shape {h.shape} is not usable")
-        if rank(h) != h.rows:
-            raise ValueError("parity-check matrix is rank deficient")
         return cls(h, null_space_basis(h))
 
     @property
@@ -77,7 +82,7 @@ class LinearCode:
         if bits.size != self.k:
             raise ValueError(f"message must have {self.k} bits")
         mask = sum(1 << i for i in np.flatnonzero(bits & 1).tolist())
-        return _unpack_bits(xor_rows(tuple(self.g), mask), self.n)
+        return BitMatrix([xor_rows(tuple(self.g), mask)], self.n).to_numpy()[0]
 
     def codeword_table(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 array; small k only."""
@@ -86,7 +91,7 @@ class LinearCode:
         if "table" not in self._cache:
             packed = _combination_table([self.g.row_bits(i) for i in range(self.k)],
                                         self.n)
-            table = _unpack_array(packed, self.n)
+            table = words_to_bits(packed, self.n)
             table.flags.writeable = False
             self._cache["table"] = table
         return self._cache["table"]
@@ -96,38 +101,9 @@ class LinearCode:
         return self.h.mat_vec(word) == 0
 
 
-def _unpack_bits(word: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
-def _pack_rows(bits: Sequence[int], n: int) -> np.ndarray:
-    """Int bitsets to a (len, ceil(n/64)) uint64 array."""
-    words = max(1, (n + 63) // 64)
-    out = np.empty((len(bits), words), dtype=np.uint64)
-    for i, b in enumerate(bits):
-        for w in range(words):
-            out[i, w] = (b >> (64 * w)) & _WORD_MASK
-    return out
-
-
-def _unpack_array(packed: np.ndarray, n: int) -> np.ndarray:
-    """(count, words) uint64 to (count, n) uint8."""
-    as_bytes = packed.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :n].copy()
-
-
-def _packed_to_int(row: np.ndarray) -> int:
-    out = 0
-    for w in range(row.shape[0] - 1, -1, -1):
-        out = (out << 64) | int(row[w])
-    return out
-
-
 def _combination_table(rows: list[int], n: int) -> np.ndarray:
     """All XOR combinations of the given rows, in mask order, packed."""
-    packed = _pack_rows(rows, n)
+    packed = ints_to_words(rows, n)
     table = np.zeros((1 << len(rows), packed.shape[1]), dtype=np.uint64)
     for i in range(len(rows)):
         table[1 << i:2 << i] = table[: 1 << i] ^ packed[i]
@@ -143,7 +119,7 @@ def _iter_combination_chunks(rows: list[int], n: int
     for hi in range(1 << len(high_rows)):
         base = xor_rows(high_rows, hi)
         if base:
-            yield hi << low, table ^ _pack_rows([base], n)[0]
+            yield hi << low, table ^ ints_to_words([base], n)[0]
         else:
             yield 0, table
 
@@ -264,11 +240,9 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
                 keep = w <= cutoff
                 packed, weights = [p[keep]], [w[keep]]
         p, w = np.concatenate(packed), np.concatenate(weights)
-        # packed words are little-endian, so the last column is the most
-        # significant; unsigned uint64 order then matches int order
+        # the last packed column is the most significant (see gaedkit.gf2)
         order = np.lexsort((*p.T, w))[:target_count]
-        return DualWordPool(tuple(_packed_to_int(row) for row in p[order]),
-                            c.n, True)
+        return DualWordPool(tuple(words_to_ints(p[order])), c.n, True)
 
     rng = np.random.default_rng(seed)
     collected = {row for row in hrows if row.bit_count() <= max_weight}

@@ -28,7 +28,7 @@ def _pair_box_plus(a, b):
     return m + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
 
 
-def box_plus(llrs, clamp: float = LLR_CLAMP) -> float:
+def box_plus(llrs) -> float:
     """LLR of the modulo-2 sum of independent bits with the given LLRs."""
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -36,7 +36,7 @@ def box_plus(llrs, clamp: float = LLR_CLAMP) -> float:
     acc = arr[0]
     for x in arr[1:]:
         acc = _pair_box_plus(acc, x)
-    return float(np.clip(acc, -clamp, clamp))
+    return float(np.clip(acc, -LLR_CLAMP, LLR_CLAMP))
 
 
 class PreprocessPlan:
@@ -51,18 +51,20 @@ class PreprocessPlan:
         if t.rows != t.cols:
             raise ValueError("preprocessing matrix must be square")
         self.n = t.rows
-        by_degree: dict[int, tuple[list[int], list[list[int]]]] = {}
-        for j in range(self.n):
-            cols = [i for i in range(self.n) if t.get(j, i)]
-            if not cols:
-                raise ValueError(f"row {j} of the preprocessing matrix is zero")
-            rows, sels = by_degree.setdefault(len(cols), ([], []))
-            rows.append(j)
-            sels.append(cols)
-        self.groups = [(np.array(rows), np.array(sels))
-                       for _, (rows, sels) in sorted(by_degree.items())]
+        mask = t.to_numpy().astype(bool)
+        deg = mask.sum(axis=1)
+        if not deg.all():
+            j = int(np.argmin(deg))
+            raise ValueError(f"row {j} of the preprocessing matrix is zero")
+        # groups by ascending degree; np.nonzero walks each group's rows in
+        # ascending order and each row's columns in ascending order
+        self.groups = []
+        for d in sorted(set(deg.tolist())):
+            rows = np.flatnonzero(deg == d)
+            self.groups.append(
+                (rows, np.nonzero(mask[rows])[1].reshape(len(rows), d)))
 
-    def apply(self, llrs: np.ndarray, clamp: float = LLR_CLAMP) -> np.ndarray:
+    def apply(self, llrs: np.ndarray) -> np.ndarray:
         """Transform a (frames, n) LLR array; pure function of its input."""
         if llrs.shape[-1] != self.n:
             raise ValueError("LLR length does not match the matrix")
@@ -74,7 +76,7 @@ class PreprocessPlan:
             acc = llrs[:, sels[:, 0]]
             for col in range(1, sels.shape[1]):
                 acc = _pair_box_plus(acc, llrs[:, sels[:, col]])
-            out[:, rows] = np.clip(acc, -clamp, clamp)
+            out[:, rows] = np.clip(acc, -LLR_CLAMP, LLR_CLAMP)
         return out
 
 
@@ -82,8 +84,7 @@ def preprocess_llrs(t: GeneralizedAutomorphism, llrs: LlrVector) -> LlrVector:
     """Per-coordinate box-plus combination of the LLRs selected by t's rows."""
     if t.n != len(llrs):
         raise ValueError("LLR length does not match the automorphism")
-    out = PreprocessPlan(t.matrix).apply(llrs.values[None, :], llrs.clamp)
-    return LlrVector(out[0], llrs.clamp)
+    return LlrVector(PreprocessPlan(t.matrix).apply(llrs.values[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,12 @@ class BpConfig:
     iterations: int
     normalization: float = 0.75
     early_stop: bool = True
-    clamp: float = LLR_CLAMP
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not 0.0 < self.normalization <= 1.0:
             raise ValueError("normalization must be in (0, 1]")
-        if self.clamp <= 0:
-            raise ValueError("clamp must be positive")
 
 
 @dataclass(frozen=True)
@@ -194,9 +192,9 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     idx = np.arange(n_frames)
     # Row n is the phantom variable that padding slots read. Its LLR is
     # +inf, so its messages are positive and its hard decision is 0. Its
-    # magnitude (+inf, then +clamp once clipped) is never below a real
+    # magnitude (+inf, then +LLR_CLAMP once clipped) is never below a real
     # message's, so it changes only the empty "other" set of a degree-1
-    # check, whose message saturates at the clamp either way.
+    # check, whose message saturates at LLR_CLAMP either way.
     chan = np.concatenate((llrs.T, np.full((1, n_frames), np.inf)))
     v_msg = chan[check_vars]
     for it in range(1, cfg.iterations + 1):
@@ -217,7 +215,7 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
         c_flat = np.empty((slots + 1, frames))
         c_flat[slots] = 0.0
         c_msg = c_flat[:slots].reshape(checks, width, frames)
-        np.minimum(np.where(at_min, min2[:, None], min1[:, None]), cfg.clamp,
+        np.minimum(np.where(at_min, min2[:, None], min1[:, None]), LLR_CLAMP,
                    out=c_msg)
         # negation is exact: bit for bit (normalization * sign) * magnitude
         c_msg *= cfg.normalization
@@ -244,7 +242,7 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
             total, c_msg = total[:, live], c_msg[:, :, live]
         v_msg = total[check_vars]
         v_msg -= c_msg
-        np.clip(v_msg, -cfg.clamp, cfg.clamp, out=v_msg)
+        np.clip(v_msg, -LLR_CLAMP, LLR_CLAMP, out=v_msg)
     return out_hard, out_valid, out_iters
 
 
@@ -286,7 +284,6 @@ class GaedEnsemble:
         self.plans = [PreprocessPlan(a.matrix) for a in auts]
         self.inv_maps = [np.ascontiguousarray(
             a.inverse.to_numpy().astype(np.int32).T) for a in auts]
-        self.h_t = np.ascontiguousarray(code.h_numpy().astype(np.int32).T)
 
     @property
     def num_paths(self) -> int:
@@ -303,13 +300,12 @@ class GaedEnsemble:
         iters = np.empty((paths, n_frames), dtype=np.int64)
         corrs = np.empty((paths, n_frames), dtype=np.float64)
         for p, (plan, inv_map) in enumerate(zip(self.plans, self.inv_maps)):
-            pre = plan.apply(llrs, cfg.clamp)
-            hard, _, used = bp_min_sum_batch(self.graph, pre, cfg)
+            # every path matrix is an automorphism (checked in __init__),
+            # so the mapped word is a codeword exactly when BP's word is
+            hard, valids[p], iters[p] = bp_min_sum_batch(
+                self.graph, plan.apply(llrs), cfg)
             mapped = ((hard.astype(np.int32) @ inv_map) & 1).astype(np.uint8)
-            syndrome = (mapped.astype(np.int32) @ self.h_t) & 1
             hards[p] = mapped
-            valids[p] = ~syndrome.any(axis=1)
-            iters[p] = used
             corrs[p] = _correlation(mapped, llrs)
         any_valid = valids.any(axis=0)
         score = np.where(valids == any_valid[None, :], corrs, -np.inf)

@@ -19,6 +19,39 @@ class SingularMatrixError(ValueError):
     """Raised when an operation requires an invertible matrix and got none."""
 
 
+# Packed layout of the numpy kernels: bit j of a row sits at bit j % 64 of
+# little-endian uint64 word j // 64, so a width-n row takes ceil(n / 64)
+# words, and unsigned word order, most significant word last, equals the
+# order of the rows' int bitsets.
+
+def bits_to_words(bits: np.ndarray) -> np.ndarray:
+    """Pack a (..., n) array of 0/1 entries into (..., ceil(n/64)) words."""
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (8 * -(-n // 64),), dtype=np.uint8)
+    out[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def words_to_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Bits 0..n-1 of packed words, as uint8 along the last axis."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n, bitorder="little")
+
+
+def ints_to_words(rows: Sequence[int], n: int) -> np.ndarray:
+    """Int bitsets of width n to a (len(rows), ceil(n/64)) word array."""
+    size = 8 * -(-n // 64)
+    raw = b"".join(r.to_bytes(size, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), size // 8).copy()
+
+
+def words_to_ints(words: np.ndarray) -> list[int]:
+    """The int bitset of each row of a 2-D word array."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.ascontiguousarray(words, dtype="<u8")]
+
+
 class BitMatrix:
     """Immutable dense matrix over GF(2) with int-bitset rows."""
 
@@ -64,7 +97,7 @@ class BitMatrix:
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls.from_rows((a & 1).astype(np.uint8).tolist())
+        return cls(words_to_ints(bits_to_words(a & 1)), a.shape[1])
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
@@ -187,13 +220,7 @@ class BitMatrix:
         return BitMatrix(self._bits + other._bits, self.cols)
 
     def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self._bits):
-            while r:
-                low = r & -r
-                out[i, low.bit_length() - 1] = 1
-                r ^= low
-        return out
+        return words_to_bits(ints_to_words(self._bits, self.cols), self.cols)
 
 
 def xor_rows(rows: Sequence[int], mask: int) -> int:

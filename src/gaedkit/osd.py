@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel import LLR_CLAMP
 from .codes import LinearCode
+from .gf2 import bits_to_words, words_to_bits
 
 
 @lru_cache(maxsize=32)
@@ -39,12 +40,6 @@ _OSD_CELL_BUDGET = 1 << 18
 _BYTE_SIGNS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
 
 
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """Bits 0..n-1 of little-endian uint64 words, as uint8 along the last axis."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n,
-                         bitorder="little")
-
-
 def _osd_reduce(g: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Information sets and reduced generators for every frame at once.
@@ -52,18 +47,14 @@ def _osd_reduce(g: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray,
     Column j of frame f's matrix is column perm[f, j] of G. Gauss-Jordan
     elimination steps one column position at a time over all frames: a
     column joins the information set when it is independent of the columns
-    before it. Returns the reduced rows, packed as little-endian uint64
-    words of shape (frames, k, words), and the information positions
+    before it. Returns the reduced rows, packed in the layout of
+    `gaedkit.gf2` as (frames, k, words), and the information positions
     (frames, k), both in ascending position order: row i is the codeword
     that is 1 at the i-th information position and 0 at the others.
     """
     k, n = g.shape
     frames = perm.shape[0]
-    words = -(-n // 64)
-    packed = np.zeros((frames, k, 8 * words), dtype=np.uint8)
-    packed[:, :, :-(-n // 8)] = np.packbits(
-        g[:, perm].transpose(1, 0, 2), axis=2, bitorder="little")
-    rows = packed.view("<u8")
+    rows = bits_to_words(g[:, perm].transpose(1, 0, 2))
     used = np.zeros((frames, k), dtype=bool)
     pos = np.zeros((frames, k), dtype=np.intp)
     ids = np.arange(frames)
@@ -141,7 +132,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     hard_info = np.take_along_axis(w < 0, info, axis=1)
     best = np.bitwise_xor.reduce(
         np.where(hard_info[:, :, None], rows, np.uint64(0)), axis=1)
-    best_corr = ((1.0 - 2.0 * _unpack(best, n)) * w).sum(axis=1)
+    best_corr = ((1.0 - 2.0 * words_to_bits(best, n)) * w).sum(axis=1)
     base = best.copy()
     groups = _flip_patterns(code.k, order)
     if groups:
@@ -151,7 +142,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
             _osd_block(rows[fs], base[fs], w[fs], groups, best[fs],
                        best_corr[fs])
     hard = np.empty((frames, n), dtype=np.uint8)
-    np.put_along_axis(hard, perm, _unpack(best, n), axis=1)
+    np.put_along_axis(hard, perm, words_to_bits(best, n), axis=1)
     return hard, best_corr
 
 
@@ -196,7 +187,7 @@ def _osd_block(rows, base, w, groups, best, best_corr):
         rows_sel, base_sel, w_sel = rows[sel], base[sel], w[sel][:, :, None]
         for part in parts:
             cand = _candidates(rows_sel, base_sel, part)
-            corr = np.matmul(np.where(_unpack(cand, n), -1.0, 1.0),
+            corr = np.matmul(np.where(words_to_bits(cand, n), -1.0, 1.0),
                              w_sel)[:, :, 0]
             pick = corr.argmax(axis=1)
             val = corr[ids, pick]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
-                           _iter_combination_chunks, _packed_to_int, _weights,
+                           _iter_combination_chunks, _weights,
                            check_pool, four_cycle_count, low_weight_dual_search,
                            min_distance, optimize_pcm, reduce_zero_columns,
                            weight_distribution)
@@ -42,7 +42,8 @@ def sorted_enumeration_oracle(c, target_count, max_weight):
     for _, chunk in _iter_combination_chunks(hrows, c.n):
         w = _weights(chunk)
         keep = np.nonzero((w <= max_weight) & (w > 0))[0]
-        found.extend((int(w[i]), _packed_to_int(chunk[i])) for i in keep)
+        found.extend((int(w[i]), int.from_bytes(chunk[i].tobytes(), "little"))
+                     for i in keep)
         if len(found) > 4 * target_count:
             found.sort()
             del found[target_count:]
@@ -69,6 +70,10 @@ def test_construction_and_validation():
         LinearCode(HAMMING_74_H, c.g.take_rows([0, 1, 2]))
     with pytest.raises(ValueError, match="null space"):
         LinearCode(HAMMING_74_H, BitMatrix.identity(7).take_rows([0, 1, 2, 3]))
+    with pytest.raises(ValueError, match="rank deficient"):
+        LinearCode(BitMatrix([0b011, 0b011], 3), BitMatrix([0b011], 3))
+    with pytest.raises(ValueError, match="rank deficient"):
+        LinearCode(HAMMING_74_H, c.g.take_rows([0, 1, 2, 2]))
 
 
 def test_encode_and_contains():

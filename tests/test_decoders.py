@@ -76,7 +76,6 @@ def test_box_plus_edges():
     assert box_plus((7.25,)) == 7.25
     assert box_plus((3.7, 0.0)) == 0.0
     assert box_plus((40.0, 40.0)) <= LLR_CLAMP     # final clip
-    assert box_plus((5.0, 3.0), clamp=2.0) == 2.0
     with pytest.raises(ValueError):
         box_plus(())
     with pytest.raises(ValueError):
@@ -155,7 +154,7 @@ def naive_min_sum(h: BitMatrix, chan: np.ndarray, cfg: BpConfig):
                     if math.copysign(1.0, x) < 0:
                         sign = -sign
                     mag = min(mag, abs(x))
-                c2v[(c, v)] = cfg.normalization * sign * min(mag, cfg.clamp)
+                c2v[(c, v)] = cfg.normalization * sign * min(mag, LLR_CLAMP)
         total = np.zeros(n)
         for v in range(n):
             s = float(chan[v])
@@ -173,7 +172,7 @@ def naive_min_sum(h: BitMatrix, chan: np.ndarray, cfg: BpConfig):
         for c in range(m):
             for v in neighbors[c]:
                 x = total[v] - c2v[(c, v)]
-                v2c[(c, v)] = min(max(x, -cfg.clamp), cfg.clamp)
+                v2c[(c, v)] = min(max(x, -LLR_CLAMP), LLR_CLAMP)
     raise AssertionError("unreachable")
 
 
@@ -205,7 +204,7 @@ def dense_min_sum_batch(mask: np.ndarray, llrs: np.ndarray, cfg: BpConfig):
         ext_sign = np.where(neg, -row_sign[:, :, None], row_sign[:, :, None])
         ext_mag = np.minimum(
             np.where(col_ids[None, None, :] == first[:, :, None],
-                     min2[:, :, None], min1[:, :, None]), cfg.clamp)
+                     min2[:, :, None], min1[:, :, None]), LLR_CLAMP)
         c_msg = np.where(mask[None], cfg.normalization * ext_sign * ext_mag,
                          0.0)
         total = chan + c_msg.sum(axis=1)
@@ -228,7 +227,7 @@ def dense_min_sum_batch(mask: np.ndarray, llrs: np.ndarray, cfg: BpConfig):
             total, c_msg = total[live], c_msg[live]
         v_msg = np.where(mask[None],
                          np.clip(total[:, None, :] - c_msg,
-                                 -cfg.clamp, cfg.clamp), 0.0)
+                                 -LLR_CLAMP, LLR_CLAMP), 0.0)
     return out_hard, out_valid, out_iters
 
 
@@ -269,12 +268,11 @@ def test_edge_kernel_matches_dense_oracle():
     rng = np.random.default_rng(90)
     for trial in range(400):
         mask = adversarial_mask(rng)
-        clamp = float(rng.choice([LLR_CLAMP, 2.0]))
         cfg = BpConfig(iterations=int(rng.choice([1, 2, 5, 12])),
                        normalization=float(rng.choice([1.0, 0.75, 0.3])),
-                       early_stop=bool(trial % 2), clamp=clamp)
+                       early_stop=bool(trial % 2))
         llrs = adversarial_llrs(rng, int(rng.integers(1, 24)),
-                                mask.shape[1], clamp)
+                                mask.shape[1], LLR_CLAMP)
         graph = TannerGraph.from_pcm(
             BitMatrix.from_numpy(mask.astype(np.uint8)))
         got = bp_min_sum_batch(graph, llrs, cfg)
@@ -367,8 +365,6 @@ def test_bp_config_validation():
         BpConfig(iterations=1, normalization=0.0)
     with pytest.raises(ValueError, match="normalization"):
         BpConfig(iterations=1, normalization=1.5)
-    with pytest.raises(ValueError, match="clamp"):
-        BpConfig(iterations=1, clamp=-1.0)
 
 
 def test_bp_input_validation():
@@ -412,6 +408,7 @@ def test_identity_path_reproduces_plain_bp():
     assert np.array_equal(iters, biters)
     syn = (bhard.astype(np.int32) @ code.h_numpy().astype(np.int32).T) & 1
     assert np.array_equal(valid, ~syn.any(axis=1))
+    assert np.array_equal(valid, bvalid)
 
 
 def test_ensemble_selection_rule_recomputed():
@@ -428,7 +425,7 @@ def test_ensemble_selection_rule_recomputed():
     ht = code.h_numpy().astype(np.int32).T
     cand, cand_valid, cand_corr, cand_iters = [], [], [], []
     for a in auts:
-        pre = PreprocessPlan(a.matrix).apply(frames, cfg.clamp)
+        pre = PreprocessPlan(a.matrix).apply(frames)
         h_p, _, used = bp_min_sum_batch(graph, pre, cfg)
         d_hard, _, d_used = dense_min_sum_batch(mask, pre, cfg)
         assert np.array_equal(h_p, d_hard) and np.array_equal(used, d_used)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaedkit.gf2 import (BitMatrix, SingularMatrixError, block_diagonal,
-                         char_poly, column_reduce, companion_matrix,
-                         independent_rows, invert, null_space_basis, rank,
-                         solve_left, xor_rows)
+from gaedkit.gf2 import (BitMatrix, SingularMatrixError, bits_to_words,
+                         block_diagonal, char_poly, column_reduce,
+                         companion_matrix, independent_rows, ints_to_words,
+                         invert, null_space_basis, rank, solve_left,
+                         words_to_bits, words_to_ints, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -436,3 +437,32 @@ def test_matmul_associative_property(dims, data):
 @given(m=bit_matrices())
 def test_independent_rows_count_property(m):
     assert len(list(independent_rows(m))) == rank(m)
+
+
+def loop_to_numpy(m: BitMatrix) -> np.ndarray:
+    """The former per-bit BitMatrix.to_numpy loop, kept as the oracle."""
+    out = np.zeros((m.rows, m.cols), dtype=np.uint8)
+    for i, r in enumerate(m):
+        while r:
+            low = r & -r
+            out[i, low.bit_length() - 1] = 1
+            r ^= low
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(m=st.sampled_from([0, 1, 7, 8, 63, 64, 65, 127, 128, 130]).flatmap(
+    lambda n: bit_matrices(cols=n)))
+def test_packed_layout_property(m):
+    rows = list(m)
+    words = ints_to_words(rows, m.cols)
+    assert words.shape == (m.rows, -(-m.cols // 64))
+    assert words_to_ints(words) == rows
+    assert np.array_equal(words_to_bits(words, m.cols), loop_to_numpy(m))
+    assert np.array_equal(bits_to_words(loop_to_numpy(m)), words)
+    assert np.array_equal(m.to_numpy(), loop_to_numpy(m))
+    assert BitMatrix.from_numpy(m.to_numpy()) == m
+    # lexsort over the words, most significant word last, sorts as ints do;
+    # the dual-word search relies on this
+    if words.shape[1]:
+        assert [rows[i] for i in np.lexsort(words.T)] == sorted(rows)
