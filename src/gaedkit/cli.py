@@ -218,7 +218,12 @@ def _cmd_simulate(args) -> int:
         return _fail(f"output directory {out.parent} does not exist")
     if out is not None and out.is_dir():
         return _fail(f"output path {out} is a directory")
-    records = run_sweep(code, spec, cfg, aut=aut)
+    try:
+        records = run_sweep(code, spec, cfg, aut=aut)
+    except ValueError as e:
+        # bad inputs that only building the decoder finds, before any frame
+        # is decoded: e.g. a dual code too small for ell
+        return _fail(str(e))
     text = format_records(records)
     if out is not None:
         out.write_text(text)

@@ -344,10 +344,12 @@ def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
     need = ell * (code.n - code.k)
     words = pool.words
     if len(words) < need:
-        raise ValueError(f"pool has {len(words)} words, need {need}")
+        raise ValueError(f"ell={ell} needs {need} dual words "
+                         f"(ell * (n-k)), but the pool has {len(words)}")
     basis = set(independent_rows(words))
     if len(basis) < code.n - code.k:
-        raise ValueError("pool does not span the dual code")
+        raise ValueError(f"ell={ell} needs a pool that spans the dual "
+                         f"code, and this one does not")
     rest = [w for i, w in enumerate(words) if i not in basis]
     chosen = [words[i] for i in sorted(basis)] + rest[: need - len(basis)]
     chosen.sort(key=lambda w: (w.bit_count(), w))

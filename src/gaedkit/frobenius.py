@@ -13,11 +13,10 @@ Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .gf2 import (BitMatrix, Reducer, block_diagonal, companion_matrix,
-                  invert, reducer_order, solve_left, xor_rows)
+                  invert, solve_left, xor_rows)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -55,15 +54,11 @@ def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
     bits of the first dependence are exactly the low coefficients of f.
     """
     local = span.copy()
-    cur = u
     j = 0
-    while True:
-        res, combo = local.reduce(cur)
-        if not res:
-            return Gf2Poly((1 << j) ^ combo)
-        insort(local.rows, (res, combo ^ (1 << j)), key=reducer_order)
-        cur = xor_rows(tt_rows, cur)
+    while local.insert(u, 1 << j):
+        u = xor_rows(tt_rows, u)
         j += 1
+    return Gf2Poly((1 << j) ^ local.reduce(u)[1])
 
 
 def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:

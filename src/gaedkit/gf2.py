@@ -7,7 +7,6 @@ exact. Matrices are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -233,127 +232,97 @@ def xor_rows(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _echelon(bits: list[int]) -> tuple[list[int], list[int]]:
-    """In-place row echelon; returns (rows, pivot column per kept row)."""
-    pivots: list[int] = []
-    r = 0
-    for row_idx in range(len(bits)):
-        v = bits[row_idx]
-        for piv_row, piv_col in enumerate(pivots):
-            if (v >> piv_col) & 1:
-                v ^= bits[piv_row]
-        if v:
-            col = v.bit_length() - 1
-            # reduce earlier rows so the pivot column is exclusive
-            for piv_row in range(r):
-                if (bits[piv_row] >> col) & 1:
-                    bits[piv_row] ^= v
-            bits[r] = v
-            pivots.append(col)
-            r += 1
-    del bits[r:]
-    return bits, pivots
-
-
-def rank(m: BitMatrix) -> int:
-    return len(_echelon(list(m))[1])
-
-
-def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2); raises SingularMatrixError when none exists.
-
-    Reduces the rows (m_i << n) | (1 << i): m is invertible exactly when
-    every pivot lands in the high half, and then the row with pivot n + c
-    is e_c << n plus row c of the inverse.
-    """
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("inverse requires a square matrix")
-    bits, pivots = _echelon([(r << n) | (1 << i) for i, r in enumerate(m)])
-    if any(p < n for p in pivots):
-        raise SingularMatrixError("matrix is singular")
-    out = [0] * n
-    low = (1 << n) - 1
-    for row, p in zip(bits, pivots):
-        out[p - n] = row & low
-    return BitMatrix(out, n)
-
-
-def null_space_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {x : m @ x = 0}, one vector per row of the result.
-
-    Vectors are emitted in ascending order of their free column, each with a
-    single 1 in that free position, so the result has full row rank.
-    """
-    bits, pivots = _echelon(list(m))
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for row, p in zip(bits, pivots):
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(basis, m.cols)
-
-
-def reducer_order(row: tuple[int, int]) -> int:
-    """Sort key of a Reducer row: descending vector value.
-
-    Stored vectors have distinct leading bits, so this is descending
-    leading-bit order; insort with this key keeps the row list sorted.
-    """
-    return -row[0]
-
-
 class Reducer:
     """Forward-elimination span tracker over int-bitset vectors.
 
-    Rows are kept sorted by descending leading bit; each carries a witness
-    bitset over caller-chosen tags so reductions can report which tagged
-    vectors they used. Vectors inserted with tag 0 (the ambient space)
-    contribute nothing to witnesses.
+    Holds one stored (vector, witness) pair per leading bit. Each witness
+    is a bitset over caller-chosen tags, so a reduction reports which
+    tagged vectors it used; vectors inserted with tag 0 (the ambient space)
+    contribute nothing to witnesses. A witness is the unique combination of
+    the kept tagged vectors, so it does not depend on how the stored
+    vectors were reduced.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("pivots",)
 
-    def __init__(self, rows=None):
-        self.rows: list[tuple[int, int]] = list(rows) if rows else []
+    def __init__(self, pivots=None):
+        self.pivots: dict[int, tuple[int, int]] = dict(pivots or {})
 
     def copy(self) -> "Reducer":
-        return Reducer(self.rows)
+        return Reducer(self.pivots)
 
     def reduce(self, v: int) -> tuple[int, int]:
+        """Reduce v while its leading bit has a stored vector.
+
+        Returns (residue, witness). The residue is 0 exactly when v is in
+        the span; a nonzero residue is reduced at its leading bit only.
+        """
         combo = 0
-        for rv, rw in self.rows:
-            if (v >> (rv.bit_length() - 1)) & 1:
-                v ^= rv
-                combo ^= rw
+        while v:
+            row = self.pivots.get(v.bit_length() - 1)
+            if row is None:
+                break
+            v ^= row[0]
+            combo ^= row[1]
         return v, combo
 
     def insert(self, v: int, witness: int = 0) -> bool:
         v, combo = self.reduce(v)
         if not v:
             return False
-        insort(self.rows, (v, combo ^ witness), key=reducer_order)
+        self.pivots[v.bit_length() - 1] = (v, combo ^ witness)
         return True
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 def independent_rows(rows: Iterable[int]) -> Iterator[int]:
     """Indices of the rows outside the span of the rows before them."""
-    pivots: dict[int, int] = {}  # leading bit -> stored row
+    span = Reducer()
     for i, v in enumerate(rows):
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = v
-                yield i
-                break
-            v ^= pivots[lead]
+        if span.insert(v):
+            yield i
+
+
+def rank(m: BitMatrix) -> int:
+    return sum(1 for _ in independent_rows(m))
+
+
+def invert(m: BitMatrix) -> BitMatrix:
+    """Inverse over GF(2); raises SingularMatrixError when none exists.
+
+    Row i of m goes in with tag 1 << i, so the witness of e_c is the
+    combination of rows of m that gives e_c: row c of the inverse.
+    """
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("inverse requires a square matrix")
+    span = Reducer()
+    for i, row in enumerate(m):
+        if not span.insert(row, 1 << i):
+            raise SingularMatrixError("matrix is singular")
+    return BitMatrix((span.reduce(1 << c)[1] for c in range(n)), n)
+
+
+def null_space_basis(m: BitMatrix) -> BitMatrix:
+    """Basis of {x : m @ x = 0}, one vector per row of the result.
+
+    Vectors are emitted in ascending order of their free column, each with a
+    single 1 in that free position, so the result has full row rank. The
+    pivots are the leading bits of m's row space; free column f is the
+    combination of the pivot columns that its witness names.
+    """
+    row_span = Reducer()
+    for row in m:
+        row_span.insert(row)
+    cols = list(m.transpose())
+    col_span = Reducer()
+    for p in row_span.pivots:
+        col_span.insert(cols[p], 1 << p)
+    return BitMatrix(((1 << f) | col_span.reduce(cols[f])[1]
+                      for f in range(m.cols) if f not in row_span.pivots),
+                     m.cols)
 
 
 def solve_left(m: BitMatrix, y: int) -> int | None:

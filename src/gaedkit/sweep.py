@@ -67,10 +67,8 @@ class DecoderSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown decoder {self.kind!r}; decoder must "
                              f"be one of {', '.join(_KINDS)}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if not 0.0 < self.normalization <= 1.0:
-            raise ValueError("normalization must be in (0, 1]")
+        # BpConfig owns the rule for the BP settings
+        BpConfig(self.iterations, self.normalization, self.early_stop)
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
         if self.osd_order < 0:

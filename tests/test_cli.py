@@ -360,3 +360,36 @@ def test_simulate_osd_and_rr(tmp_path, capsys):
         assert main(["simulate", str(cfgf)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+
+def test_simulate_rr_with_too_small_dual_exits_two(tmp_path, capsys,
+                                                  monkeypatch):
+    import gaedkit.sweep as sweep
+    from gaedkit.codes import DualWordPool
+
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was decoded before the pool check")
+
+    monkeypatch.setattr(sweep, "awgn_llr_batch", no_frames)
+    write_dense(HAMMING_74_H, tmp_path / "H.txt")
+    cfgf = tmp_path / "rr.cfg"
+    write_sim_config(cfgf, ["h = H.txt", "decoder = rr", "ell = 3",
+                            "ebn0_db = 3.0"])
+    # the (7,4) dual has 7 nonzero words, and ell = 3 needs 3 * 3 = 9
+    assert main(["simulate", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert "ell=3" in err and "need" in err
+    assert "Traceback" not in err
+    # a pool that does not span the dual, as a random search can return
+    a, b = HAMMING_74_H.row_bits(0), HAMMING_74_H.row_bits(1)
+    thin = DualWordPool(tuple(sorted((a, b, a ^ b),
+                                     key=lambda w: (w.bit_count(), w))),
+                        7, False)
+    monkeypatch.setattr(sweep, "low_weight_dual_search",
+                        lambda *args, **kwargs: thin)
+    write_sim_config(cfgf, ["h = H.txt", "decoder = rr", "ell = 1",
+                            "ebn0_db = 3.0"])
+    assert main(["simulate", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert "ell=1" in err and "span" in err
+    assert "Traceback" not in err

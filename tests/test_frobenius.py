@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaedkit.frobenius import frobenius_normal_form
 from gaedkit.gf2 import (BitMatrix, block_diagonal, char_poly,
-                         companion_matrix, invert)
-from gaedkit.gf2poly import ONE, Gf2Poly, factor
+                         companion_matrix, invert, rank)
+from gaedkit.gf2poly import ONE, Gf2Poly, factor, is_irreducible
 
 
 def random_matrix(rng, n):
@@ -87,3 +89,53 @@ def test_deterministic():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         frobenius_normal_form(BitMatrix.zeros(2, 3))
+
+
+# -- properties -----------------------------------------------------------
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=2),
+                         min_size=n, max_size=n))
+    return BitMatrix((sum(1 << j for j in r) for r in rows), n)
+
+
+@st.composite
+def derogatory_matrices(draw):
+    """Identity, repeated companion blocks, or I plus a nilpotent shift in
+    blocks; optionally conjugated so the structure is hidden."""
+    kind = draw(st.sampled_from(["identity", "companions", "unipotent"]))
+    if kind == "identity":
+        t = BitMatrix.identity(draw(st.integers(1, 10)))
+    elif kind == "companions":
+        d = draw(st.integers(1, 4))
+        f = Gf2Poly((1 << d) | draw(st.integers(0, (1 << d) - 1)))
+        t = block_diagonal([companion_matrix(f)] * draw(st.integers(2, 3)))
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        t = block_diagonal([BitMatrix(((1 << i) | ((1 << i) >> 1)
+                                       for i in range(k)), k)
+                            for k in sizes])
+    s = draw(st.lists(st.integers(0, (1 << t.rows) - 1),
+                      min_size=t.rows, max_size=t.rows))
+    s = BitMatrix(s, t.rows)
+    return s @ t @ invert(s) if rank(s) == t.rows else t
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(t=st.one_of(sparse_matrices(), derogatory_matrices()))
+def test_frobenius_form_property(t):
+    fb = frobenius_normal_form(t)
+    s_inv = invert(fb.transform)
+    assert t @ s_inv == s_inv @ fb.form
+    prod = ONE
+    for f in fb.blocks:
+        prod = prod * f
+        [(p, e)] = factor(f)
+        assert is_irreducible(p)
+        pe = ONE
+        for _ in range(e):
+            pe = pe * p
+        assert pe == f
+    assert prod == char_poly(t)

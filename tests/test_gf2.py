@@ -1,5 +1,7 @@
 """Bit-packed GF(2) linear algebra against naive oracles."""
 
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -466,3 +468,123 @@ def test_packed_layout_property(m):
     # the dual-word search relies on this
     if words.shape[1]:
         assert [rows[i] for i in np.lexsort(words.T)] == sorted(rows)
+
+
+# -- the span tracker against the eliminations it replaced -----------------
+
+def oracle_echelon(bits):
+    """The former full reduced echelon, kept as oracle: (rows, pivots)."""
+    pivots = []
+    r = 0
+    for row_idx in range(len(bits)):
+        v = bits[row_idx]
+        for piv_row, piv_col in enumerate(pivots):
+            if (v >> piv_col) & 1:
+                v ^= bits[piv_row]
+        if v:
+            col = v.bit_length() - 1
+            for piv_row in range(r):
+                if (bits[piv_row] >> col) & 1:
+                    bits[piv_row] ^= v
+            bits[r] = v
+            pivots.append(col)
+            r += 1
+    del bits[r:]
+    return bits, pivots
+
+
+def oracle_rank(m):
+    return len(oracle_echelon(list(m))[1])
+
+
+def oracle_invert(m):
+    n = m.rows
+    bits, pivots = oracle_echelon([(r << n) | (1 << i) for i, r in enumerate(m)])
+    if any(p < n for p in pivots):
+        raise SingularMatrixError("matrix is singular")
+    out = [0] * n
+    for row, p in zip(bits, pivots):
+        out[p - n] = row & ((1 << n) - 1)
+    return BitMatrix(out, n)
+
+
+def oracle_null_space_basis(m):
+    bits, pivots = oracle_echelon(list(m))
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = 1 << f
+        for row, p in zip(bits, pivots):
+            if (row >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return BitMatrix(basis, m.cols)
+
+
+class OracleReducer:
+    """The former sorted-list span tracker, kept as oracle."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, v):
+        combo = 0
+        for rv, rw in self.rows:
+            if (v >> (rv.bit_length() - 1)) & 1:
+                v ^= rv
+                combo ^= rw
+        return v, combo
+
+    def insert(self, v, witness=0):
+        v, combo = self.reduce(v)
+        if not v:
+            return False
+        insort(self.rows, (v, combo ^ witness), key=lambda row: -row[0])
+        return True
+
+
+def oracle_solve_left(m, y):
+    span = OracleReducer()
+    for i, row in enumerate(m):
+        span.insert(row, 1 << i)
+    v, combo = span.reduce(y)
+    return None if v else combo
+
+
+@st.composite
+def span_matrices(draw):
+    """Square, wide and tall matrices whose rows come from a drawn span, so
+    low rank, zero rows and duplicate rows all occur."""
+    side = draw(st.integers(0, 9))
+    other = side + draw(st.integers(1, 5))
+    rows, cols = draw(st.sampled_from([(side, side), (side, other),
+                                       (other, side)]))
+    gens = draw(st.lists(st.integers(0, (1 << cols) - 1),
+                         max_size=min(rows, cols)))
+    bits = []
+    for _ in range(rows):
+        if bits and draw(st.booleans()):
+            bits.append(draw(st.sampled_from(bits)))
+        else:
+            bits.append(xor_rows(gens, draw(st.integers(0, (1 << len(gens)) - 1))))
+    return BitMatrix(bits, cols)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(m=span_matrices(), data=st.data())
+def test_span_tracker_matches_oracles(m, data):
+    assert rank(m) == oracle_rank(m)
+    assert null_space_basis(m) == oracle_null_space_basis(m)
+    assert list(independent_rows(m)) == inline_independent_rows(list(m))
+    if m.rows == m.cols:
+        try:
+            want = oracle_invert(m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+        else:
+            assert invert(m) == want
+    # witnesses over dependent rows: in-span targets, and arbitrary ones
+    mask = data.draw(st.integers(0, (1 << m.rows) - 1))
+    for y in (xor_rows(list(m), mask),
+              data.draw(st.integers(0, (1 << m.cols) - 1))):
+        assert solve_left(m, y) == oracle_solve_left(m, y)
