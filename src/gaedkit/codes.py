@@ -77,12 +77,12 @@ class LinearCode:
         return self._cache["g"]
 
     def encode(self, message) -> np.ndarray:
-        """Map k message bits to the codeword combining rows of G."""
-        bits = np.asarray(message, dtype=np.uint8).reshape(-1)
-        if bits.size != self.k:
+        """Map (..., k) message bits to the (..., n) uint8 codewords x G."""
+        bits = np.asarray(message, dtype=np.uint8)
+        if bits.ndim == 0 or bits.shape[-1] != self.k:
             raise ValueError(f"message must have {self.k} bits")
-        mask = sum(1 << i for i in np.flatnonzero(bits & 1).tolist())
-        return BitMatrix([xor_rows(tuple(self.g), mask)], self.n).to_numpy()[0]
+        # uint8 sums wrap modulo 256, an even number, so the parity holds
+        return ((bits & 1) @ self.g_numpy()) & 1
 
     def codeword_table(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 array; small k only."""
@@ -183,6 +183,9 @@ def _macwilliams(dual_counts: list[int], n: int, dual_dim_log: int) -> list[int]
 class DualWordPool:
     """Distinct dual codewords, sorted by (weight, value).
 
+    The constructor enforces both, and rejects 0 and any word with a bit at
+    or above n; `check_pool` checks the words against a code's dual.
+
     complete is False when a random search hit its iteration budget before
     reaching the requested number of words; enumeration is always complete.
     """
@@ -190,6 +193,14 @@ class DualWordPool:
     words: tuple[int, ...]
     n: int
     complete: bool
+
+    def __post_init__(self) -> None:
+        words = sorted(set(self.words), key=lambda w: (w.bit_count(), w))
+        bad = [w for w in words if w < 1 or w >> self.n]
+        if bad:
+            raise ValueError(f"pool words must be nonzero with no bit at or "
+                             f"above n={self.n}, got {bad[0]:#x}")
+        object.__setattr__(self, "words", tuple(words))
 
     @property
     def weights(self) -> tuple[int, ...]:

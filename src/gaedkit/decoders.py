@@ -186,6 +186,9 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
         return out_hard, out_valid, out_iters
     if n != graph.n:
         raise ValueError("LLR length does not match the graph")
+    # a NaN would decode as a valid all-zero word; big finite values saturate
+    if not np.isfinite(llrs).all():
+        raise ValueError("llrs contain NaN or infinity")
     check_vars, var_slots = graph.check_vars, graph.var_slots
     checks, width = check_vars.shape
     slots = checks * width

@@ -7,15 +7,17 @@ for any worker count, and byte-identical CSV (modulo the wall-clock column)
 follows from an identical (config, seed) pair.
 
 The decoder is built once per sweep, in the calling process, from the
-caller's code, automorphism and pool. Worker processes receive that built
-decoder through the pool initializer instead of rebuilding it, so it must
-pickle.
+caller's code, automorphism and pool, and that built runtime is the task:
+`runtime(task)` decodes one chunk. Each round maps it over its chunks, with
+the builtin `map` for one worker and a process pool's `map` otherwise, so
+every pool task carries the pickled runtime and no worker rebuilds it.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, sqrt
@@ -125,7 +127,7 @@ class FerRecord:
 
 
 class _Runtime:
-    """A sweep's decoder, built once and handed as is to every worker.
+    """A sweep's decoder, built once; calling it on a task runs one chunk.
 
     `decode(llrs)` is a picklable batch decoder whose first output is the
     (frames, n) hard decisions, so workers need nothing rebuilt.
@@ -135,7 +137,6 @@ class _Runtime:
                  aut: GeneralizedAutomorphism | None,
                  pool: DualWordPool | None):
         self.code = code
-        self.g_np = code.g_numpy().astype(np.int32)
         cfg = BpConfig(iterations=spec.iterations,
                        normalization=spec.normalization,
                        early_stop=spec.early_stop)
@@ -162,6 +163,12 @@ class _Runtime:
         self.batch_frames = max(
             32, _DECODE_CELL_BUDGET // max(1, h.rows * code.n))
 
+    def __call__(self, task) -> tuple[int, int, int]:
+        seed, random_codewords, point_idx, chunk_idx, ebn0_db, frames = task
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(seed, point_idx, chunk_idx)))
+        return self.run_chunk(ebn0_db, frames, rng, random_codewords)
+
     def run_chunk(self, ebn0_db: float, frames: int,
                   rng: np.random.Generator,
                   random_codewords: bool) -> tuple[int, int, int]:
@@ -171,10 +178,8 @@ class _Runtime:
         while left > 0:
             b = min(self.batch_frames, left)
             if random_codewords:
-                msgs = rng.integers(0, 2, size=(b, self.code.k),
-                                    dtype=np.uint8)
-                sent = ((msgs.astype(np.int32) @ self.g_np) & 1
-                        ).astype(np.uint8)
+                sent = self.code.encode(rng.integers(
+                    0, 2, size=(b, self.code.k), dtype=np.uint8))
             else:
                 sent = np.zeros((b, self.code.n), dtype=np.uint8)
             llrs = awgn_llr_batch(sent, ebn0_db, rate, rng)
@@ -183,25 +188,6 @@ class _Runtime:
             bit_errors += int(diff.sum())
             left -= b
         return frames, frame_errors, bit_errors
-
-
-_RUNTIME: _Runtime | None = None
-
-
-def _init_worker(runtime: _Runtime) -> None:
-    global _RUNTIME
-    _RUNTIME = runtime
-
-
-def _run_task(runtime: _Runtime, args) -> tuple[int, int, int]:
-    seed, random_codewords, point_idx, chunk_idx, ebn0_db, frames = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(seed, point_idx, chunk_idx)))
-    return runtime.run_chunk(ebn0_db, frames, rng, random_codewords)
-
-
-def _pool_task(args) -> tuple[int, int, int]:
-    return _run_task(_RUNTIME, args)
 
 
 def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
@@ -214,12 +200,11 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
     max_frames frames are reached; counts are invariant to workers.
     """
     runtime = _Runtime(code, spec, aut, pool)
-    executor = None
-    if cfg.workers > 1:
-        executor = ProcessPoolExecutor(max_workers=cfg.workers,
-                                       initializer=_init_worker,
-                                       initargs=(runtime,))
-    try:
+    with ExitStack() as stack:
+        run = map
+        if cfg.workers > 1:
+            run = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.workers)).map
         records = []
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
             start = timer()
@@ -240,11 +225,7 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
                          for i, s in enumerate(sizes)]
                 chunk_idx += len(sizes)
                 round_idx += 1
-                if executor is not None:
-                    results = list(executor.map(_pool_task, tasks))
-                else:
-                    results = [_run_task(runtime, t) for t in tasks]
-                for f, e, b in results:
+                for f, e, b in run(runtime, tasks):
                     frames += f
                     frame_errors += e
                     bit_errors += b
@@ -252,9 +233,6 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
             ci = 1.96 * sqrt(fer * (1.0 - fer) / frames)
             records.append(FerRecord(float(ebn0), frames, frame_errors,
                                      bit_errors, fer, ci, timer() - start))
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return records
 
 

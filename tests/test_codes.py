@@ -10,7 +10,8 @@ from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
                            check_pool, four_cycle_count, low_weight_dual_search,
                            min_distance, optimize_pcm, reduce_zero_columns,
                            weight_distribution)
-from gaedkit.gf2 import BitMatrix, rank
+from gaedkit.decoders import stack_redundant_pcm
+from gaedkit.gf2 import BitMatrix, rank, xor_rows
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -201,6 +202,35 @@ def full_rank_codes(draw):
     return LinearCode.from_pcm(BitMatrix(permuted, n))
 
 
+def encode_oracle(c, message):
+    """The former single-message encoder: XOR the rows of G that the
+    message's set bits pick."""
+    bits = np.asarray(message, dtype=np.uint8).reshape(-1)
+    if bits.size != c.k:
+        raise ValueError(f"message must have {c.k} bits")
+    mask = sum(1 << i for i in np.flatnonzero(bits & 1).tolist())
+    return BitMatrix([xor_rows(tuple(c.g), mask)], c.n).to_numpy()[0]
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(c=full_rank_codes(), batch=st.integers(0, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_encode_matches_row_oracle(c, batch, seed):
+    rng = np.random.default_rng(seed)
+    # values above 1 check that only the low bit of each entry counts
+    msgs = rng.integers(0, 4, size=(batch, c.k), dtype=np.uint8)
+    words = c.encode(msgs)
+    assert words.shape == (batch, c.n) and words.dtype == np.uint8
+    for msg, word in zip(msgs, words):
+        assert np.array_equal(word, encode_oracle(c, msg))
+    one = c.encode(msgs[0] if batch else np.ones(c.k, dtype=np.uint8))
+    assert one.shape == (c.n,)
+    assert np.array_equal(c.encode(msgs.reshape(batch, 1, c.k))[:, 0], words)
+    for shape in ((batch, c.k + 1), (c.k - 1,), ()):
+        with pytest.raises(ValueError, match=f"must have {c.k} bits"):
+            c.encode(np.zeros(shape, dtype=np.uint8))
+
+
 @settings(derandomize=True, deadline=None, database=None)
 @given(c=full_rank_codes(), target=st.integers(1, 1100),
        max_weight=st.integers(1, 21))
@@ -259,6 +289,24 @@ def test_optimize_pcm_preserves_code_and_lowers_weight():
         # greedy over the full dual pool reaches the lightest possible basis
         again = optimize_pcm(c, pool, trials=8, seed=1)
         assert again.h == better.h
+
+
+def test_dual_word_pool_sorts_dedups_and_checks_range():
+    c = hamming74()
+    rows = tuple(HAMMING_74_H)
+    # the three rows given three times are three words, not nine
+    tripled = DualWordPool(rows * 3, 7, True)
+    assert tripled.words == (85, 102, 120)
+    with pytest.raises(ValueError, match="needs 9 dual words"):
+        stack_redundant_pcm(c, tripled, 3)
+    assert DualWordPool((120, 85, 102, 85), 7, False).words == (85, 102, 120)
+    with pytest.raises(ValueError, match="nonzero .*got 0x0$"):
+        DualWordPool((0, 5, 5, 1 << 9), 7, True)
+    with pytest.raises(ValueError, match="at or above n=7, got 0x200"):
+        DualWordPool((5, 5, 1 << 9), 7, True)
+    with pytest.raises(ValueError, match="at or above n=7, got 0x80"):
+        DualWordPool((1 << 7,), 7, True)
+    assert DualWordPool((1 << 6,), 7, True).words == (1 << 6,)
 
 
 def test_optimize_pcm_rejects_bad_pools():

@@ -473,6 +473,27 @@ def test_ensemble_validation():
         GaedEnsemble(code, [intruder])
 
 
+def test_bp_and_gaed_reject_non_finite_llrs():
+    # a NaN compares false everywhere, so BP used to return the all-zero
+    # word as a valid codeword for an all-NaN frame or one NaN among -3.0s
+    code, aut = built_pair()
+    graph = TannerGraph.from_pcm(code.h)
+    ens = GaedEnsemble(code, power_ensemble(aut))
+    cfg = BpConfig(iterations=10)
+    for value in (np.nan, np.inf, -np.inf):
+        one_bad = np.full((3, code.n), -3.0)
+        one_bad[1, 5] = value
+        for llrs in (np.full((2, code.n), value), one_bad):
+            with pytest.raises(ValueError, match="llrs"):
+                bp_min_sum_batch(graph, llrs, cfg)
+            with pytest.raises(ValueError, match="llrs"):
+                ens.decode_batch(llrs, cfg)
+    # finite values beyond the clamp still saturate
+    hard, valid, iters = bp_min_sum_batch(
+        graph, np.full((1, code.n), 4 + LLR_CLAMP), cfg)
+    assert valid[0] and not hard.any() and iters[0] == 1
+
+
 def test_power_ensemble_members():
     _, aut = built_pair()
     members = power_ensemble(aut, powers=(0, 1, -1))
