@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -163,19 +162,25 @@ def min_distance(c: LinearCode, *, max_primal: int = 26, max_dual: int = 24) -> 
 
 
 def _macwilliams(dual_counts: list[int], n: int, dual_dim_log: int) -> list[int]:
-    """Weight distribution of the code from its dual's, exact over Z."""
+    """Weight distribution of the code from its dual's, exact over Z.
+
+    Entry j is sum_w count_w K_j(w) / 2^dual_dim_log. The Krawtchouk values
+    K_j(w) of each weight w that occurs come from the integer recurrence
+    (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1}, whose divisions are exact.
+    """
+    counts = [c for c in dual_counts if c]
+    slopes = [n - 2 * w for w, c in enumerate(dual_counts) if c]
+    prev = [0] * len(counts)  # K_{j-1}(w)
+    cur = [1] * len(counts)   # K_j(w)
     out = []
     for j in range(n + 1):
-        total = 0
-        for w, count in enumerate(dual_counts):
-            if count:
-                kraw = sum((-1) ** s * comb(w, s) * comb(n - w, j - s)
-                           for s in range(0, min(w, j) + 1))
-                total += count * kraw
-        q, rem = divmod(total, 1 << dual_dim_log)
+        q, rem = divmod(sum(c * k for c, k in zip(counts, cur)),
+                        1 << dual_dim_log)
         if rem or q < 0:
             raise AssertionError("MacWilliams transform left a remainder")
         out.append(q)
+        prev, cur = cur, [(a * k - (n - j + 1) * p) // (j + 1)
+                          for a, k, p in zip(slopes, cur, prev)]
     return out
 
 

@@ -377,6 +377,9 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood decisions for a (frames, n) batch."""
+    # argmax over a row of NaN correlations would pick the all-zero word
+    if not np.isfinite(llrs).all():
+        raise ValueError("llrs contain NaN or infinity")
     table = code.codeword_table()
     signs = 1.0 - 2.0 * table.astype(np.float64)
     picks = (llrs @ signs.T).argmax(axis=1)

@@ -1,12 +1,15 @@
 """Rational canonical form of a square matrix over GF(2).
 
 The decomposition writes any square t as t = S^-1 @ F @ S with F a block
-diagonal of companion matrices. Blocks are produced by iterated cyclic
-deflation: each round picks a vector whose annihilator modulo the space
-already spanned is maximal (the quotient minimal polynomial), corrects it to
-an exact annihilator, and appends its cyclic chain. The resulting
-invariant-factor blocks are then split further into prime-power components,
-which gives the finest companion-block decomposition the matrix admits.
+diagonal of companion matrices. The invariant factors of t are computed
+first: char_poly(t) is factored once, and for each prime of multiplicity
+above 1 the kernel dimensions of p(t)^j give the exponents of its blocks.
+Blocks are then produced by iterated cyclic deflation: round r scans unit
+vectors for one whose annihilator modulo the space already spanned reaches
+the r-th largest invariant factor, corrects it to an exact annihilator, and
+appends its cyclic chain. The same per-prime exponents split each
+invariant-factor block into prime-power components, which gives the finest
+companion-block decomposition the matrix admits.
 
 Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
 """
@@ -14,9 +17,10 @@ Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .gf2 import (BitMatrix, Reducer, block_diagonal, companion_matrix,
-                  invert, solve_left, xor_rows)
+from .gf2 import (BitMatrix, Reducer, block_diagonal, char_poly,
+                  companion_matrix, invert, rank, solve_left, xor_rows)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -61,6 +65,41 @@ def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
     return Gf2Poly((1 << j) ^ local.reduce(u)[1])
 
 
+def invariant_factors(t: BitMatrix) -> list[list[tuple[Gf2Poly, int]]]:
+    """Invariant factors of a square t, largest first, each as its factors.
+
+    Entry r lists (p, e) in `factor` order for every prime p of the r-th
+    largest invariant factor s_r = prod p^e; each s_r divides s_{r-1} and
+    their product is char_poly(t), the only polynomial factored. A prime of
+    multiplicity 1 has one block of exponent 1. For any other prime p, the
+    kernel dimension d_j of p(t)^j grows by deg p times the number of blocks
+    of exponent at least j, up to d_j = deg p times the multiplicity.
+    """
+    n = t.rows
+    tt_rows = tuple(t.transpose())
+    rounds: list[list[tuple[Gf2Poly, int]]] = []
+    for p, m in factor(char_poly(t)):
+        exponents = [1]
+        if m > 1:
+            cols = [1 << i for i in range(n)]  # columns of p(t)^j
+            at_least: list[int] = []           # blocks of exponent >= j
+            kernel = 0
+            while kernel < m * p.degree:
+                cols = [_apply_poly(tt_rows, p, c) for c in cols]
+                grown = n - rank(BitMatrix(cols, n))
+                if grown == kernel:
+                    raise AssertionError("kernel of p(t)^j stopped growing")
+                at_least.append((grown - kernel) // p.degree)
+                kernel = grown
+            exponents = [sum(1 for c in at_least if c > r)
+                         for r in range(at_least[0])]
+        for r, e in enumerate(exponents):
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append((p, e))
+    return rounds
+
+
 def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
     """Decompose t into companion blocks of prime-power polynomials.
 
@@ -75,11 +114,13 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
 
     span = Reducer()
     chain_vectors: list[int] = []
-    raw_blocks: list[tuple[int, Gf2Poly]] = []  # (generator, annihilator)
+    raw_blocks: list[tuple[int, Gf2Poly, list[tuple[Gf2Poly, int]]]] = []
 
-    while len(span) < n:
-        # quotient minimal polynomial, achieved by an explicit vector
-        quotient_dim = n - len(span)
+    for parts in invariant_factors(t):
+        # a vector achieving the quotient minimal polynomial, which is the
+        # round's invariant factor; once fw reaches it, every later
+        # conductor divides fw and the scan could not change w
+        target = prod((p ** e for p, e in parts), start=ONE)
         w = 0
         fw = ONE
         for i in range(n):
@@ -97,8 +138,10 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
                 w = (_apply_poly(tt_rows, fw // a, w)
                      ^ _apply_poly(tt_rows, fi // b, e))
                 fw = a * b
-            if fw.degree == quotient_dim:
+            if fw == target:
                 break
+        if fw != target:
+            raise AssertionError("deflation missed the invariant factor")
         if _conductor(tt_rows, span, w) != fw:
             raise AssertionError("combined vector missed the quotient annihilator")
 
@@ -123,17 +166,14 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
                 raise AssertionError("cyclic chain collapsed")
             chain_vectors.append(cur)
             cur = xor_rows(tt_rows, cur)
-        raw_blocks.append((u, fw))
+        raw_blocks.append((u, fw, parts))
 
     # split each invariant-factor block into prime-power companion blocks
     blocks: list[Gf2Poly] = []
     vectors: list[int] = []
-    for u, f in raw_blocks:
-        parts = factor(f)
+    for u, f, parts in raw_blocks:
         for p, e in parts:
-            pe = ONE
-            for _ in range(e):
-                pe = pe * p
+            pe = p ** e
             gen = _apply_poly(tt_rows, f // pe, u) if len(parts) > 1 else u
             cur = gen
             for _ in range(pe.degree):

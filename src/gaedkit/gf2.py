@@ -400,48 +400,49 @@ def char_poly(m: BitMatrix) -> Gf2Poly:
 
     Pivot deficiencies are handled with simultaneous row/column swaps and the
     eliminations are paired row/column updates, so the spectrum is preserved
-    exactly over GF(2).
+    exactly over GF(2). The matrix is held as one int with row i in bits
+    [i n, (i + 1) n), so every row or column operation is a few whole-int
+    shifts and XORs.
     """
     n = m.rows
     if n != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     if n == 0:
         return Gf2Poly(1)
-    a = list(m)
-
-    def col_xor(dst: int, src: int) -> None:
-        for i in range(n):
-            a[i] ^= ((a[i] >> src) & 1) << dst
-
-    def col_swap(c1: int, c2: int) -> None:
-        for i in range(n):
-            b1, b2 = (a[i] >> c1) & 1, (a[i] >> c2) & 1
-            if b1 != b2:
-                a[i] ^= (1 << c1) | (1 << c2)
+    row_mask = (1 << n) - 1
+    col0 = sum(1 << (i * n) for i in range(n))  # column 0 of every row
+    a = sum(row << (i * n) for i, row in enumerate(m))
 
     for c in range(n - 2):
-        piv = next((r for r in range(c + 1, n) if (a[r] >> c) & 1), None)
-        if piv is None:
+        below = ((a >> c) & col0) >> ((c + 1) * n)  # column c, rows > c
+        if not below:
             continue
+        piv = c + 1 + ((below & -below).bit_length() - 1) // n
         if piv != c + 1:
-            a[c + 1], a[piv] = a[piv], a[c + 1]
-            col_swap(c + 1, piv)
-        for r in range(c + 2, n):
-            if (a[r] >> c) & 1:
-                a[r] ^= a[c + 1]
-                col_xor(c + 1, r)
+            d = ((a >> ((c + 1) * n)) ^ (a >> (piv * n))) & row_mask
+            a ^= (d << ((c + 1) * n)) | (d << (piv * n))
+            d = ((a >> (c + 1)) ^ (a >> piv)) & col0
+            a ^= (d << (c + 1)) | (d << piv)
+        rest = ((a >> c) & col0) >> ((c + 2) * n)  # rows to clear
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = c + 2 + (low.bit_length() - 1) // n
+            a ^= ((a >> ((c + 1) * n)) & row_mask) << (r * n)
+            a ^= ((a >> r) & col0) << (c + 1)
+    a = [(a >> (i * n)) & row_mask for i in range(n)]
 
-    # p_k = (x + a_kk) p_{k-1} + sum_i a_{i,k} (prod of subdiagonals) p_{i-1}
-    p = [Gf2Poly(1)]
-    x = Gf2Poly(2)
+    # p_k = (x + a_kk) p_{k-1} + sum_i a_{i,k} (prod of subdiagonals) p_{i-1},
+    # each p_k an int bitset of coefficients (bit i = coefficient of x^i)
+    p = [1]
     for k in range(1, n + 1):
-        term = (x + Gf2Poly((a[k - 1] >> (k - 1)) & 1)) * p[k - 1]
+        term = (p[k - 1] << 1) ^ (p[k - 1] if (a[k - 1] >> (k - 1)) & 1 else 0)
         sub = 1
         for i in range(k - 1, 0, -1):
             sub &= (a[i] >> (i - 1)) & 1
             if not sub:
                 break
             if (a[i - 1] >> (k - 1)) & 1:
-                term = term + p[i - 1]
+                term ^= p[i - 1]
         p.append(term)
-    return p[n]
+    return Gf2Poly(p[n])

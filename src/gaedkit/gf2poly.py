@@ -70,6 +70,14 @@ class Gf2Poly:
             a ^= low
         return Gf2Poly(acc)
 
+    def __pow__(self, e: int) -> "Gf2Poly":
+        if e < 0:
+            raise ValueError("polynomial powers need a non-negative exponent")
+        out = ONE
+        for _ in range(e):
+            out = out * self
+        return out
+
     def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
         if other.bits == 0:
             raise ZeroDivisionError("polynomial division by zero")
@@ -281,8 +289,7 @@ def factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
                  key=lambda t: (t[0].degree, t[0].bits))
     check = ONE
     for p, e in out:
-        for _ in range(e):
-            check = check * p
+        check = check * p ** e
     if check != f:
         raise AssertionError("factorization self-check failed")
     return out

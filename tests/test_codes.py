@@ -1,12 +1,14 @@
 """Linear code container, distance search, PCM optimization."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
-                           _iter_combination_chunks, _weights,
+                           _iter_combination_chunks, _macwilliams, _weights,
                            check_pool, four_cycle_count, low_weight_dual_search,
                            min_distance, optimize_pcm, reduce_zero_columns,
                            weight_distribution)
@@ -134,6 +136,65 @@ def test_min_distance_primal_vs_dual():
         weights = c.codeword_table().sum(axis=1)
         brute = int(weights[weights > 0].min())
         assert primal == dual == brute
+
+
+def comb_macwilliams_oracle(dual_counts, n, dual_dim_log):
+    """The former transform: every Krawtchouk value K_j(w) as its sum of
+    signed binomial products."""
+    out = []
+    for j in range(n + 1):
+        total = 0
+        for w, count in enumerate(dual_counts):
+            if count:
+                kraw = sum((-1) ** s * comb(w, s) * comb(n - w, j - s)
+                           for s in range(0, min(w, j) + 1))
+                total += count * kraw
+        q, rem = divmod(total, 1 << dual_dim_log)
+        if rem or q < 0:
+            raise AssertionError("MacWilliams transform left a remainder")
+        out.append(q)
+    return out
+
+
+def macwilliams_or_error(transform, counts, n, dual_dim_log):
+    try:
+        return transform(counts, n, dual_dim_log)
+    except AssertionError:
+        return "AssertionError"
+
+
+@st.composite
+def macwilliams_inputs(draw):
+    n = draw(st.integers(0, 70))
+    log = draw(st.integers(0, 20))
+    counts = draw(st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                                     st.integers(-2**40, 2**40)),
+                           min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        # divisible by 2^log, and the weight-0 term dominates: its values
+        # K_j(0) = C(n, j) bound every |K_j(w)|, so no entry is negative
+        counts = [c << log for c in counts]
+        counts[0] = sum(abs(c) for c in counts)
+    return counts, n, log
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(args=macwilliams_inputs())
+def test_macwilliams_matches_comb_oracle(args):
+    assert (macwilliams_or_error(_macwilliams, *args)
+            == macwilliams_or_error(comb_macwilliams_oracle, *args))
+
+
+def test_macwilliams_round_trip():
+    rng = np.random.default_rng(54)
+    for _ in range(60):
+        n = int(rng.integers(2, 17))
+        c = random_code(rng, n, int(rng.integers(1, n)))
+        grows = [c.g.row_bits(i) for i in range(c.k)]
+        hrows = [c.h.row_bits(i) for i in range(c.n - c.k)]
+        dual = weight_distribution(hrows, c.n)
+        assert _macwilliams(dual, c.n, c.n - c.k) == weight_distribution(grows, c.n)
+        assert _macwilliams(weight_distribution(grows, c.n), c.n, c.k) == dual
 
 
 def test_min_distance_size_guard():

@@ -913,3 +913,16 @@ def test_ml_decode_is_argmax_over_the_table():
         assert out.is_codeword
         all_corrs = signs @ frames[i]
         assert out.correlation == pytest.approx(float(all_corrs.max()), abs=1e-12)
+
+
+def test_ml_decode_batch_rejects_non_finite_llrs():
+    # argmax over a row of NaN correlations picks index 0, so ML used to
+    # return the all-zero word for a frame of -3.0s with one NaN
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    for value in (np.nan, np.inf, -np.inf):
+        one_bad = np.full((2, 7), -3.0)
+        one_bad[1, 4] = value
+        for llrs in (np.full((1, 7), value), one_bad):
+            with pytest.raises(ValueError, match="llrs"):
+                ml_decode_batch(code, llrs)
+    assert ml_decode_batch(code, np.full((1, 7), -3.0)).tolist() == [[1] * 7]

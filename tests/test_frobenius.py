@@ -1,14 +1,20 @@
 """Rational canonical form: reconstruction, canonicity, known shapes."""
 
+from collections import Counter
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaedkit.frobenius import frobenius_normal_form
-from gaedkit.gf2 import (BitMatrix, block_diagonal, char_poly,
-                         companion_matrix, invert, rank)
-from gaedkit.gf2poly import ONE, Gf2Poly, factor, is_irreducible
+from gaedkit import frobenius, gf2poly
+from gaedkit.frobenius import (FrobeniusForm, _apply_poly, _conductor,
+                               frobenius_normal_form, invariant_factors)
+from gaedkit.gf2 import (BitMatrix, Reducer, block_diagonal, char_poly,
+                         companion_matrix, invert, rank, solve_left, xor_rows)
+from gaedkit.gf2poly import (ONE, Gf2Poly, coprime_split, factor,
+                             is_irreducible, poly_lcm)
 
 
 def random_matrix(rng, n):
@@ -139,3 +145,165 @@ def test_frobenius_form_property(t):
             pe = pe * p
         assert pe == f
     assert prod == char_poly(t)
+
+
+# -- the former deflation as the oracle -----------------------------------
+
+def quotient_dim_scan_oracle(t):
+    """The deflation before invariant factors were known: each round scans
+    unit vectors until fw spans the whole quotient (fw.degree ==
+    quotient_dim) or the scan ends, and each invariant-factor block is
+    factored on its own. Returns the form and each round's annihilator."""
+    n = t.rows
+    tt_rows = tuple(t.transpose())
+    span = Reducer()
+    chain_vectors = []
+    raw_blocks = []
+    while len(span) < n:
+        quotient_dim = n - len(span)
+        w, fw = 0, ONE
+        for i in range(n):
+            e = 1 << i
+            if span.reduce(e)[0] == 0:
+                continue
+            fi = _conductor(tt_rows, span, e)
+            if poly_lcm(fw, fi) == fw:
+                continue
+            if fw.is_one():
+                w, fw = e, fi
+            else:
+                a, b = coprime_split(fw, fi)
+                w = (_apply_poly(tt_rows, fw // a, w)
+                     ^ _apply_poly(tt_rows, fi // b, e))
+                fw = a * b
+            if fw.degree == quotient_dim:
+                break
+        y = _apply_poly(tt_rows, fw, w)
+        if chain_vectors:
+            images = BitMatrix([_apply_poly(tt_rows, fw, v)
+                                for v in chain_vectors], n)
+            combo = solve_left(images, y)
+        else:
+            combo = 0
+        u = w ^ xor_rows(chain_vectors, combo)
+        cur = u
+        for _ in range(fw.degree):
+            assert span.insert(cur)
+            chain_vectors.append(cur)
+            cur = xor_rows(tt_rows, cur)
+        raw_blocks.append((u, fw))
+
+    blocks, vectors = [], []
+    for u, f in raw_blocks:
+        parts = gf2poly.factor(f)
+        for p, e in parts:
+            pe = ONE
+            for _ in range(e):
+                pe = pe * p
+            cur = _apply_poly(tt_rows, f // pe, u) if len(parts) > 1 else u
+            for _ in range(pe.degree):
+                vectors.append(cur)
+                cur = xor_rows(tt_rows, cur)
+            blocks.append(pe)
+    basis = BitMatrix(vectors, n).transpose()
+    form = (block_diagonal([companion_matrix(f) for f in blocks])
+            if blocks else BitMatrix.identity(0))
+    return (FrobeniusForm(tuple(blocks), form, invert(basis)),
+            [f for _, f in raw_blocks])
+
+
+def assert_matches_oracle(t):
+    fb = frobenius_normal_form(t)
+    want, _ = quotient_dim_scan_oracle(t)
+    assert fb.blocks == want.blocks
+    assert fb.form == want.form
+    assert fb.transform == want.transform
+
+
+def unipotent(sizes):
+    """I plus a nilpotent shift, one Jordan-like block per size."""
+    return block_diagonal([BitMatrix(((1 << i) | ((1 << i) >> 1)
+                                      for i in range(k)), k) for k in sizes])
+
+
+def test_matches_quotient_dim_oracle_on_random_and_sparse():
+    rng = np.random.default_rng(33)
+    for _ in range(80):
+        n = int(rng.integers(1, 16))
+        assert_matches_oracle(random_matrix(rng, n))
+        sparse = rng.random((n, n)) < 1.5 / n
+        assert_matches_oracle(BitMatrix.from_numpy(sparse.astype(np.uint8)))
+
+
+def test_matches_quotient_dim_oracle_on_derogatory_matrices():
+    rng = np.random.default_rng(34)
+    cases = [BitMatrix.identity(n) for n in (1, 2, 5, 9)]
+    for f in (Gf2Poly(0b11), Gf2Poly(0b111), Gf2Poly(0b1011), Gf2Poly(0b10101)):
+        cases += [block_diagonal([companion_matrix(f)] * m) for m in (2, 3)]
+    cases += [unipotent(sizes) for sizes in ((1, 1), (2, 2), (3, 1, 1),
+                                             (4, 2, 2, 1), (5, 3))]
+    for t in cases:
+        assert_matches_oracle(t)
+        s = BitMatrix.random_invertible(t.rows, rng)
+        assert_matches_oracle(s @ t @ invert(s))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(t=st.one_of(sparse_matrices(), derogatory_matrices()))
+def test_matches_quotient_dim_oracle_property(t):
+    assert_matches_oracle(t)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(t=st.one_of(sparse_matrices(), derogatory_matrices()))
+def test_invariant_factors_property(t):
+    rounds = invariant_factors(t)
+    polys = [prod((p ** e for p, e in parts), start=ONE) for parts in rounds]
+    for parts in rounds:
+        primes = [p for p, _ in parts]
+        assert primes == sorted(primes, key=lambda p: (p.degree, p.bits))
+        assert all(is_irreducible(p) and e >= 1 for p, e in parts)
+    for big, small in zip(polys, polys[1:]):
+        assert (big % small).is_zero()
+    assert prod(polys, start=ONE) == char_poly(t)
+    # one deflation round per invariant factor, whose annihilator it is
+    assert polys == quotient_dim_scan_oracle(t)[1]
+
+
+def test_factor_runs_once_per_matrix(monkeypatch):
+    rng = np.random.default_rng(35)
+    blocks = ([companion_matrix(Gf2Poly(0b111) ** 2)] * 4        # 16
+              + [companion_matrix(Gf2Poly(0b10011))] * 3         # 12
+              + [unipotent((8, 8, 4, 4, 2, 1, 1))]               # 28
+              + [companion_matrix(Gf2Poly(0b11) ** 3 * Gf2Poly(0b111))]  # 5
+              + [companion_matrix(Gf2Poly(0b1011))])             # 3
+    t = block_diagonal(blocks)
+    s = BitMatrix.random_invertible(64, rng)
+    t = s @ t @ invert(s)
+    assert t.rows == 64
+    calls = []
+
+    def counting_factor(f):
+        calls.append(f)
+        return factor(f)
+
+    monkeypatch.setattr(frobenius, "factor", counting_factor)
+    fb = frobenius_normal_form(t)
+    assert calls == [char_poly(t)]
+    want, annihilators = quotient_dim_scan_oracle(t)
+    assert len(annihilators) > 1
+    assert fb.blocks == want.blocks and fb.transform == want.transform
+
+
+def test_identity_rounds_stop_after_one_scan(monkeypatch):
+    n = 12
+    span_sizes = []
+
+    def counting_conductor(tt_rows, span, u):
+        span_sizes.append(len(span))
+        return _conductor(tt_rows, span, u)
+
+    monkeypatch.setattr(frobenius, "_conductor", counting_conductor)
+    frobenius_normal_form(BitMatrix.identity(n))
+    # per round: the one scan call that reaches x + 1, then the self-check
+    assert Counter(span_sizes) == {r: 2 for r in range(n)}

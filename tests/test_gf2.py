@@ -362,6 +362,62 @@ def test_char_poly_matches_brute_force():
         char_poly(BitMatrix.zeros(2, 3))
 
 
+def row_list_char_poly_oracle(m: BitMatrix) -> Gf2Poly:
+    """The former Hessenberg reduction on a list of row ints, with each
+    column operation a loop over the rows."""
+    n = m.rows
+    if n == 0:
+        return ONE
+    a = list(m)
+
+    def col_xor(dst, src):
+        for i in range(n):
+            a[i] ^= ((a[i] >> src) & 1) << dst
+
+    def col_swap(c1, c2):
+        for i in range(n):
+            if ((a[i] >> c1) ^ (a[i] >> c2)) & 1:
+                a[i] ^= (1 << c1) | (1 << c2)
+
+    for c in range(n - 2):
+        piv = next((r for r in range(c + 1, n) if (a[r] >> c) & 1), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            a[c + 1], a[piv] = a[piv], a[c + 1]
+            col_swap(c + 1, piv)
+        for r in range(c + 2, n):
+            if (a[r] >> c) & 1:
+                a[r] ^= a[c + 1]
+                col_xor(c + 1, r)
+    p = [ONE]
+    for k in range(1, n + 1):
+        term = (X + Gf2Poly((a[k - 1] >> (k - 1)) & 1)) * p[k - 1]
+        sub = 1
+        for i in range(k - 1, 0, -1):
+            sub &= (a[i] >> (i - 1)) & 1
+            if not sub:
+                break
+            if (a[i - 1] >> (k - 1)) & 1:
+                term = term + p[i - 1]
+        p.append(term)
+    return p[n]
+
+
+def test_char_poly_matches_row_list_oracle():
+    rng = np.random.default_rng(25)
+    for _ in range(120):
+        n = int(rng.integers(0, 70))
+        m = BitMatrix.from_numpy((rng.random((n, n)) < rng.random())
+                                 .astype(np.uint8))
+        assert char_poly(m) == row_list_char_poly_oracle(m)
+    for _ in range(10):
+        # a permutation plus a few ones, like the construction's draws
+        m = BitMatrix.from_numpy(np.eye(64, dtype=np.uint8)[rng.permutation(64)])
+        m = m ^ BitMatrix.from_numpy((rng.random((64, 64)) < 0.004).astype(np.uint8))
+        assert char_poly(m) == row_list_char_poly_oracle(m)
+
+
 def test_char_poly_similarity_invariant():
     rng = np.random.default_rng(23)
     for _ in range(40):
