@@ -59,9 +59,6 @@ class GeneralizedAutomorphism:
         """Excess weight over a permutation; zero iff t is a permutation."""
         return self.omega - self.n
 
-    def is_permutation(self) -> bool:
-        return self.delta == 0 and all(r.bit_count() == 1 for r in self.matrix)
-
     def power(self, alpha: int) -> BitMatrix:
         base = self.matrix if alpha >= 0 else self.inverse
         return base.power(abs(alpha))
@@ -147,21 +144,6 @@ class ZBlockMatrix:
             raise ValueError("block shapes are inconsistent")
         rows = list(c) + [d.row_bits(i) | (e.row_bits(i) << r) for i in range(k)]
         return cls(BitMatrix(rows, r + k), r)
-
-    @property
-    def c_block(self) -> BitMatrix:
-        r = self.num_checks
-        return self.matrix.take_rows(range(r)).take_cols(range(r))
-
-    @property
-    def d_block(self) -> BitMatrix:
-        r, n = self.num_checks, self.matrix.rows
-        return self.matrix.take_rows(range(r, n)).take_cols(range(r))
-
-    @property
-    def e_block(self) -> BitMatrix:
-        r, n = self.num_checks, self.matrix.rows
-        return self.matrix.take_rows(range(r, n)).take_cols(range(r, n))
 
 
 def random_z_block(n: int, k: int, rng: np.random.Generator) -> ZBlockMatrix:
@@ -315,7 +297,7 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         opt_seed = int(rng.integers(0, 2**63))
         pool = low_weight_dual_search(
             code1, target_count=max(8 * (code1.n - code1.k), 256),
-            max_weight=code1.n, seed=pool_seed)
+            seed=pool_seed)
         # the lightest words alone may not span; the PCM optimizer needs a
         # spanning pool, and the current rows of H always provide one
         pool = DualWordPool(pool.words + tuple(code1.h), code1.n,

@@ -46,9 +46,11 @@ def awgn_llr_batch(codewords: np.ndarray, ebn0_db: float, rate: float,
     """Channel LLRs for a (frames, n) array of codeword bits.
 
     Bit 0 maps to +1 and bit 1 to -1; the LLR of each received sample y is
-    2y/sigma^2, clipped to +-LLR_CLAMP.
+    2y/sigma^2, clipped to +-LLR_CLAMP. Any other entry raises ValueError.
     """
     bits = np.asarray(codewords, dtype=np.float64)
+    if ((bits != 0.0) & (bits != 1.0)).any():
+        raise ValueError("codewords must hold only 0 and 1 bits")
     symbols = 1.0 - 2.0 * bits
     sigma = noise_sigma(ebn0_db, rate)
     y = symbols + sigma * rng.standard_normal(bits.shape)
@@ -60,5 +62,5 @@ def awgn_llr(codeword_bits, ebn0_db: float, rate: float,
     """Single-frame channel use; deterministic for a given seed."""
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    bits = np.asarray(codeword_bits, dtype=np.uint8).reshape(1, -1)
+    bits = np.asarray(codeword_bits).reshape(1, -1)
     return LlrVector(awgn_llr_batch(bits, ebn0_db, rate, rng)[0])

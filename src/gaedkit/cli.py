@@ -133,14 +133,12 @@ _EXPECTED = {int: "an integer", float: "a number",
              _bool: f"one of {', '.join(_BOOL_WORDS)}"}
 
 
-def _typed_key(raw: dict, key: str, parse, default: str,
-               listed: bool = False):
+def _typed_key(text: str, key: str, parse, listed: bool = False):
     """Parse one typed config value, or a comma list of them if listed.
 
     parse is int, float or _bool; a value it rejects raises ValueError
     naming the key.
     """
-    text = raw.get(key, default)
     try:
         if listed:
             return tuple(parse(x) for x in text.split(","))
@@ -152,10 +150,30 @@ def _typed_key(raw: dict, key: str, parse, default: str,
         raise ValueError(f"{key} must be {expected}, got {text!r}") from None
 
 
-_SIM_KEYS = {"dir", "h", "t", "decoder", "iterations", "normalization",
-             "early_stop", "ell", "osd_order", "gaed_powers", "ebn0_db",
-             "min_frame_errors", "max_frames", "seed", "workers",
-             "random_codewords", "out"}
+# simulate key -> (DecoderSpec or SweepConfig, field, parse, listed), in parse
+# order. Only keys in the file are passed: defaults live in the dataclasses.
+_SIM_FIELDS = {
+    "iterations": (DecoderSpec, "iterations", int, False),
+    "normalization": (DecoderSpec, "normalization", float, False),
+    "early_stop": (DecoderSpec, "early_stop", _bool, False),
+    "ell": (DecoderSpec, "ell", int, False),
+    "osd_order": (DecoderSpec, "osd_order", int, False),
+    "gaed_powers": (DecoderSpec, "powers", int, True),
+    "ebn0_db": (SweepConfig, "ebn0_db", float, True),
+    "min_frame_errors": (SweepConfig, "min_frame_errors", int, False),
+    "max_frames": (SweepConfig, "max_frames", int, False),
+    "seed": (SweepConfig, "seed", int, False),
+    "workers": (SweepConfig, "workers", int, False),
+    "random_codewords": (SweepConfig, "random_codewords", _bool, False),
+}
+_SIM_KEYS = {"dir", "h", "t", "decoder", "out", *_SIM_FIELDS}
+
+
+def _sim_fields(raw: dict, owner) -> dict:
+    """The fields of owner that raw sets, parsed."""
+    return {field: _typed_key(raw[key], key, parse, listed)
+            for key, (cls, field, parse, listed) in _SIM_FIELDS.items()
+            if cls is owner and key in raw}
 
 
 def _cmd_simulate(args) -> int:
@@ -180,15 +198,8 @@ def _cmd_simulate(args) -> int:
         else:
             return _fail("config needs either dir= or h=")
         code = LinearCode.from_pcm(h)
-        spec = DecoderSpec(
-            kind=raw.get("decoder", ""),
-            iterations=_typed_key(raw, "iterations", int, "20"),
-            normalization=_typed_key(raw, "normalization", float, "0.75"),
-            early_stop=_typed_key(raw, "early_stop", _bool, "true"),
-            ell=_typed_key(raw, "ell", int, "3"),
-            osd_order=_typed_key(raw, "osd_order", int, "3"),
-            powers=_typed_key(raw, "gaed_powers", int, "0,1,-1",
-                              listed=True))
+        spec = DecoderSpec(kind=raw.get("decoder", ""),
+                           **_sim_fields(raw, DecoderSpec))
         aut = None
         if spec.kind == "gaed":
             if t is None:
@@ -202,14 +213,7 @@ def _cmd_simulate(args) -> int:
                              "refusing to simulate")
         if "ebn0_db" not in raw:
             return _fail("config needs ebn0_db=")
-        cfg = SweepConfig(
-            ebn0_db=_typed_key(raw, "ebn0_db", float, "", listed=True),
-            min_frame_errors=_typed_key(raw, "min_frame_errors", int, "300"),
-            max_frames=_typed_key(raw, "max_frames", int, "1000000"),
-            seed=_typed_key(raw, "seed", int, "0"),
-            workers=_typed_key(raw, "workers", int, "1"),
-            random_codewords=_typed_key(raw, "random_codewords", _bool,
-                                        "false"))
+        cfg = SweepConfig(**_sim_fields(raw, SweepConfig))
         out = (base / raw["out"]).resolve() if "out" in raw else None
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
@@ -237,7 +241,7 @@ def _cmd_verify(args) -> int:
     try:
         manifest = read_kv(d / "manifest.txt")
         try:
-            declared = {key: _typed_key(manifest, key, int, "-1")
+            declared = {key: _typed_key(manifest.get(key, "-1"), key, int)
                         for key in ("omega_t", "omega_t_inv", "omega_t_sq",
                                     "delta_t")}
         except ValueError as e:

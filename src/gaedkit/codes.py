@@ -18,6 +18,7 @@ from .gf2 import (BitMatrix, independent_rows, ints_to_words, null_space_basis,
 
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
+_PCM_TRIALS = 32  # optimize_pcm's tie-break orders; its output depends on it
 
 
 class ReductionError(ValueError):
@@ -207,24 +208,17 @@ class DualWordPool:
                              f"above n={self.n}, got {bad[0]:#x}")
         object.__setattr__(self, "words", tuple(words))
 
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(w.bit_count() for w in self.words)
 
-    def as_matrix(self) -> BitMatrix:
-        return BitMatrix(self.words, self.n)
-
-
-def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
+def low_weight_dual_search(c: LinearCode, target_count: int,
                            seed: int = 0) -> DualWordPool:
     """Collect low-weight nonzero dual codewords.
 
     When n-k <= 24 all 2^(n-k) dual words are enumerated, and the result is
-    exactly the first target_count nonzero words of weight <= max_weight in
-    (weight, value) order. The enumeration keeps, as packed arrays, only the
-    words at or under a running cutoff weight: the smallest weight by which
-    the words seen so far already fill the target, since no heavier word
-    can make the pool. Only the returned words are converted to ints.
+    exactly the first target_count nonzero words in (weight, value) order.
+    The enumeration keeps, as packed arrays, only the words at or under a
+    running cutoff weight: the smallest weight by which the words seen so
+    far already fill the target, since no heavier word can make the pool.
+    Only the returned words are converted to ints.
 
     Above n-k = 24 a seeded random-combination search over H's rows runs
     instead; its pool is marked incomplete when the iteration budget ends
@@ -232,12 +226,10 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
     """
     if target_count < 1:
         raise ValueError("target_count must be positive")
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     r = c.n - c.k
     hrows = [c.h.row_bits(i) for i in range(r)]
     if r <= 24:
-        cutoff = max_weight
+        cutoff = c.n
         hist = np.zeros(c.n + 1, dtype=np.int64)
         packed: list[np.ndarray] = []
         weights: list[np.ndarray] = []
@@ -261,7 +253,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
         return DualWordPool(tuple(words_to_ints(p[order])), c.n, True)
 
     rng = np.random.default_rng(seed)
-    collected = {row for row in hrows if row.bit_count() <= max_weight}
+    collected = set(hrows)
     budget = max(10_000, 400 * target_count)
     spent = 0
     mask_words = (r + 62) // 63
@@ -275,7 +267,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int, max_weight: int,
             for part in chunk_row:
                 mm = (mm << 63) | part
             word = xor_rows(hrows, mm & mask_limit)
-            if word and word.bit_count() <= max_weight:
+            if word:
                 collected.add(word)
     words = sorted(collected, key=lambda v: (v.bit_count(), v))[:target_count]
     return DualWordPool(tuple(words), c.n, len(words) >= target_count)
@@ -301,17 +293,15 @@ def four_cycle_count(m: BitMatrix) -> int:
     return total
 
 
-def optimize_pcm(c: LinearCode, pool: DualWordPool, trials: int = 32,
+def optimize_pcm(c: LinearCode, pool: DualWordPool,
                  seed: int = 0) -> LinearCode:
     """Pick a better PCM for the same code from a pool of dual words.
 
     Greedy independent selection in weight order gives the minimum possible
     total weight; random tie-break order within equal weights is retried
-    `trials` times and the (total weight, four-cycle count) lexicographic
+    _PCM_TRIALS times and the (total weight, four-cycle count) lexicographic
     best is kept. The returned code has the identical null space.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     r = c.n - c.k
     words = list(pool.words)
     check_pool(c, pool)
@@ -321,7 +311,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool, trials: int = 32,
     rng = np.random.default_rng(seed)
     best: tuple[int, int] | None = None
     best_rows: list[int] = []
-    for trial in range(trials):
+    for trial in range(_PCM_TRIALS):
         if trial == 0:
             order = sorted(range(len(words)), key=lambda i: (weights[i], words[i]))
         else:

@@ -288,16 +288,12 @@ class GaedEnsemble:
         self.inv_maps = [np.ascontiguousarray(
             a.inverse.to_numpy().astype(np.int32).T) for a in auts]
 
-    @property
-    def num_paths(self) -> int:
-        return len(self.plans)
-
     def decode_batch(self, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
         n_frames = llrs.shape[0]
-        paths = self.num_paths
+        paths = len(self.plans)
         hards = np.empty((paths, n_frames, self.code.n), dtype=np.uint8)
         valids = np.empty((paths, n_frames), dtype=bool)
         iters = np.empty((paths, n_frames), dtype=np.int64)

@@ -8,7 +8,7 @@ ever needed. Addition is XOR, multiplication is carry-less.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -29,27 +29,10 @@ class Gf2Poly:
         if self.bits < 0:
             raise ValueError("polynomial bits must be non-negative")
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "Gf2Poly":
-        """Build from coefficients, lowest degree first."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits)
-
-    @classmethod
-    def x_power(cls, k: int) -> "Gf2Poly":
-        return cls(1 << k)
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
-
-    def coeffs(self) -> list[int]:
-        """Coefficients lowest degree first (empty for the zero polynomial)."""
-        return [(self.bits >> i) & 1 for i in range(self.bits.bit_length())]
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -59,8 +59,8 @@ class DecoderSpec:
 
     kind: str
     iterations: int = 20
-    normalization: float = 0.75
-    early_stop: bool = True
+    normalization: float = BpConfig.normalization
+    early_stop: bool = BpConfig.early_stop
     ell: int = 3
     osd_order: int = 3
     powers: tuple[int, ...] = (0, 1, -1)
@@ -153,8 +153,7 @@ class _Runtime:
                 if pool is None:
                     need = spec.ell * (code.n - code.k)
                     pool = low_weight_dual_search(
-                        code, target_count=need + 32, max_weight=code.n,
-                        seed=_POOL_SEED)
+                        code, target_count=need + 32, seed=_POOL_SEED)
                 h = stack_redundant_pcm(code, pool, spec.ell)
             self.decode = partial(bp_min_sum_batch, TannerGraph.from_pcm(h),
                                   cfg=cfg)
@@ -203,8 +202,9 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
     with ExitStack() as stack:
         run = map
         if cfg.workers > 1:
-            run = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.workers)).map
+            # a fork pool starts all workers at once; a round's tasks suffice
+            run = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(cfg.workers, _CHUNKS_PER_ROUND))).map
         records = []
         for point_idx, ebn0 in enumerate(cfg.ebn0_db):
             start = timer()

@@ -50,6 +50,19 @@ def test_bit_to_symbol_polarity():
     assert np.all(np.abs(llrs[0]) == LLR_CLAMP)  # high SNR saturates the clip
 
 
+def test_non_binary_codeword_bits_are_rejected():
+    rng = np.random.default_rng(3)
+    for bad in (2, 3, -1, 0.5, np.nan):
+        words = np.zeros((2, 4))
+        words[1, 2] = bad
+        with pytest.raises(ValueError, match="codewords"):
+            awgn_llr_batch(words, 3.0, 0.5, rng)
+        with pytest.raises(ValueError, match="codewords"):
+            awgn_llr(words[1], 3.0, 0.5, seed=1)
+    ok = np.array([[0, 1, True, False]])
+    assert awgn_llr_batch(ok, 3.0, 0.5, rng).shape == (1, 4)
+
+
 def test_clamp_bounds_all_outputs():
     rng = np.random.default_rng(2)
     llrs = awgn_llr_batch(np.zeros((64, 100), dtype=np.uint8), 15.0, 0.5, rng)

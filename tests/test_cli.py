@@ -249,6 +249,36 @@ def test_simulate_gaed_from_construct_dir(tmp_path, capsys):
     assert len(lines) == 2
 
 
+# every simulate key besides the paths, decoder and ebn0_db, at the default
+# the README states for it
+README_SIM_DEFAULTS = [
+    "iterations = 20", "normalization = 0.75", "early_stop = true",
+    "ell = 3", "osd_order = 3", "gaed_powers = 0,1,-1",
+    "min_frame_errors = 300", "max_frames = 1000000", "seed = 0",
+    "workers = 1", "random_codewords = false",
+]
+
+
+@pytest.mark.parametrize("decoder", ["bp", "gaed"])
+def test_simulate_adds_no_defaults_of_its_own(tmp_path, capsys, decoder):
+    rc, out = construct(tmp_path)
+    assert rc == 0
+    minimal = [f"h = {out.name}/H.txt", f"decoder = {decoder}",
+               "ebn0_db = 2.0"]
+    if decoder == "gaed":
+        minimal.append(f"t = {out.name}/T.txt")
+    counts = []
+    for lines in (minimal, minimal + README_SIM_DEFAULTS):
+        cfgf = tmp_path / "sim.cfg"
+        write_sim_config(cfgf, lines)
+        capsys.readouterr()
+        assert main(["simulate", str(cfgf)]) == 0
+        counts.append([ln.rsplit(",", 1)[0]
+                       for ln in capsys.readouterr().out.splitlines()])
+    assert counts[0] == counts[1]
+    assert len(counts[0]) == 2
+
+
 def test_simulate_rejects_non_automorphism_t(tmp_path, capsys):
     rc, out = construct(tmp_path)
     assert rc == 0

@@ -34,17 +34,17 @@ def random_code(rng, n, r):
             return LinearCode.from_pcm(h)
 
 
-def sorted_enumeration_oracle(c, target_count, max_weight):
+def sorted_enumeration_oracle(c, target_count):
     """The exhaustive dual-word search as a plain list-and-sort loop.
 
-    Every nonzero dual word of weight <= max_weight becomes a (weight, int)
-    tuple; the list is sorted and truncated to the target count.
+    Every nonzero dual word becomes a (weight, int) tuple; the list is
+    sorted and truncated to the target count.
     """
     hrows = [c.h.row_bits(i) for i in range(c.n - c.k)]
     found = []
     for _, chunk in _iter_combination_chunks(hrows, c.n):
         w = _weights(chunk)
-        keep = np.nonzero((w <= max_weight) & (w > 0))[0]
+        keep = np.nonzero(w > 0)[0]
         found.extend((int(w[i]), int.from_bytes(chunk[i].tobytes(), "little"))
                      for i in keep)
         if len(found) > 4 * target_count:
@@ -206,20 +206,14 @@ def test_min_distance_size_guard():
 
 def test_low_weight_search_enumerates_small_duals():
     c = hamming74()
-    pool = low_weight_dual_search(c, target_count=20, max_weight=7)
+    pool = low_weight_dual_search(c, target_count=20)
     assert pool.complete
     assert len(pool.words) == 7
-    assert pool.weights == (4,) * 7
+    assert [w.bit_count() for w in pool.words] == [4] * 7
     check_pool(c, pool)
     assert list(pool.words) == sorted(pool.words, key=lambda w: (w.bit_count(), w))
-    assert pool.as_matrix() == BitMatrix(pool.words, 7)
-    # max_weight below the lightest dual word leaves nothing
-    assert low_weight_dual_search(c, 5, max_weight=3).words == ()
     with pytest.raises(ValueError, match="target_count"):
-        low_weight_dual_search(c, 0, max_weight=4)
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match="max_weight"):
-            low_weight_dual_search(c, 5, max_weight=bad)
+        low_weight_dual_search(c, 0)
 
 
 def test_low_weight_search_matches_sorted_enumeration():
@@ -233,15 +227,11 @@ def test_low_weight_search_matches_sorted_enumeration():
         c = random_code(rng, n, r)
         if r <= 12:
             targets = (1, 7, 300, 1 << r, (1 << r) + 5)
-            max_weights = (1, 3, n // 3, n)
         else:
             targets = (1, 7, 300)
-            max_weights = (3, n // 3)
         for target in targets:
-            for max_weight in max_weights:
-                pool = low_weight_dual_search(c, target, max_weight)
-                assert pool == sorted_enumeration_oracle(c, target, max_weight), \
-                    (n, r, target, max_weight)
+            pool = low_weight_dual_search(c, target)
+            assert pool == sorted_enumeration_oracle(c, target), (n, r, target)
 
 
 @st.composite
@@ -293,28 +283,23 @@ def test_batch_encode_matches_row_oracle(c, batch, seed):
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(c=full_rank_codes(), target=st.integers(1, 1100),
-       max_weight=st.integers(1, 21))
-def test_low_weight_search_properties(c, target, max_weight):
-    pool = low_weight_dual_search(c, target, max_weight)
-    assert pool == sorted_enumeration_oracle(c, target, max_weight)
+@given(c=full_rank_codes(), target=st.integers(1, 1100))
+def test_low_weight_search_properties(c, target):
+    pool = low_weight_dual_search(c, target)
+    assert pool == sorted_enumeration_oracle(c, target)
     keys = [(w.bit_count(), w) for w in pool.words]
     assert keys == sorted(set(keys))
-    assert all(w <= max_weight for w, _ in keys)
     check_pool(c, pool)
 
 
 def test_low_weight_search_random_route():
     rng = np.random.default_rng(54)
     c = random_code(rng, 40, 26)   # n - k = 26 forces the sampled search
-    pool = low_weight_dual_search(c, target_count=30, max_weight=14, seed=3)
+    pool = low_weight_dual_search(c, target_count=30, seed=3)
     check_pool(c, pool)
-    assert all(w.bit_count() <= 14 for w in pool.words)
     assert len(set(pool.words)) == len(pool.words)
-    again = low_weight_dual_search(c, target_count=30, max_weight=14, seed=3)
+    again = low_weight_dual_search(c, target_count=30, seed=3)
     assert again.words == pool.words
-    with pytest.raises(ValueError, match="max_weight"):
-        low_weight_dual_search(c, target_count=30, max_weight=0, seed=3)
 
 
 def test_four_cycle_count_matches_brute():
@@ -340,15 +325,14 @@ def test_optimize_pcm_preserves_code_and_lowers_weight():
     rng = np.random.default_rng(56)
     for _ in range(20):
         c = random_code(rng, int(rng.integers(8, 16)), int(rng.integers(3, 6)))
-        pool = low_weight_dual_search(c, target_count=1 << (c.n - c.k),
-                                      max_weight=c.n)
-        better = optimize_pcm(c, pool, trials=8, seed=1)
+        pool = low_weight_dual_search(c, target_count=1 << (c.n - c.k))
+        better = optimize_pcm(c, pool, seed=1)
         r = c.n - c.k
         assert better.n == c.n and better.k == c.k
         assert rank(better.h.vstack(c.h)) == r     # same row space
         assert better.h.weight <= c.h.weight
         # greedy over the full dual pool reaches the lightest possible basis
-        again = optimize_pcm(c, pool, trials=8, seed=1)
+        again = optimize_pcm(c, pool, seed=1)
         assert again.h == better.h
 
 

@@ -9,8 +9,10 @@ import pytest
 from gaedkit.automorphisms import construct_code_with_automorphism
 from gaedkit.codes import DualWordPool, LinearCode, low_weight_dual_search
 from gaedkit.gf2 import BitMatrix
-from gaedkit.sweep import (CSV_HEADER, DecoderSpec, FerRecord, SweepConfig,
-                           _Runtime, format_records, run_sweep, write_csv)
+from gaedkit import sweep
+from gaedkit.sweep import (_CHUNKS_PER_ROUND, CSV_HEADER, DecoderSpec,
+                           FerRecord, SweepConfig, _Runtime, format_records,
+                           run_sweep, write_csv)
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -144,6 +146,34 @@ def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
                            random_codewords)
 
 
+def test_process_pool_is_capped_at_one_rounds_chunks(monkeypatch):
+    # a forking pool starts all max_workers processes at the first submit,
+    # so the pool is faked here and no process is ever started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    spec = DecoderSpec("bp", iterations=5)
+    serial = run_sweep(code, spec, small_sweep_cfg(), timer=fake_timer())
+    for workers in (2, _CHUNKS_PER_ROUND, 5000):
+        assert run_sweep(code, spec, small_sweep_cfg(workers=workers),
+                         timer=fake_timer()) == serial
+    assert sizes == [2, _CHUNKS_PER_ROUND, _CHUNKS_PER_ROUND]
+
+
 def test_sweep_stops_exactly_at_max_frames_when_error_free():
     code = LinearCode.from_pcm(HAMMING_74_H)
     spec = DecoderSpec("bp", iterations=5)
@@ -201,7 +231,7 @@ def test_sweep_gaed_rr_osd_kinds():
                    timer=fake_timer())   # pool defaults to a seeded search
     assert rr[0].frames >= 1
 
-    pool = low_weight_dual_search(code, 4 * (code.n - code.k), code.n)
+    pool = low_weight_dual_search(code, 4 * (code.n - code.k))
     rr2 = run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
                     pool=pool, timer=fake_timer())
     assert rr2[0].frames >= 1
@@ -209,7 +239,7 @@ def test_sweep_gaed_rr_osd_kinds():
     # a pool searched on another code of the same shape is refused, not
     # decoded with a wrong PCM
     other = construct_code_with_automorphism(16, 8, 4, seed=7).code
-    foreign = low_weight_dual_search(other, 4 * (code.n - code.k), code.n)
+    foreign = low_weight_dual_search(other, 4 * (code.n - code.k))
     with pytest.raises(ValueError, match="outside the dual"):
         run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
                   pool=foreign, timer=fake_timer())
