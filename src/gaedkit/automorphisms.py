@@ -242,7 +242,6 @@ class ConstructionResult:
     ordering_failures: int
     reduction_failures: int
     frozen_positions: tuple[int, ...]
-    pre_reduction_size: int
     pre_reduction_omega: int
 
 
@@ -311,5 +310,5 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
             ordering_failures=ordering_failures,
             reduction_failures=reduction_failures,
             frozen_positions=frozen,
-            pre_reduction_size=n, pre_reduction_omega=t.weight)
+            pre_reduction_omega=t.weight)
     raise ConstructionError(max_resamples, ordering_failures, reduction_failures)

@@ -55,12 +55,3 @@ def awgn_llr_batch(codewords: np.ndarray, ebn0_db: float, rate: float,
     sigma = noise_sigma(ebn0_db, rate)
     y = symbols + sigma * rng.standard_normal(bits.shape)
     return np.clip(2.0 * y / (sigma * sigma), -LLR_CLAMP, LLR_CLAMP)
-
-
-def awgn_llr(codeword_bits, ebn0_db: float, rate: float,
-             seed: int | np.random.Generator) -> LlrVector:
-    """Single-frame channel use; deterministic for a given seed."""
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-    bits = np.asarray(codeword_bits).reshape(1, -1)
-    return LlrVector(awgn_llr_batch(bits, ebn0_db, rate, rng)[0])

@@ -96,10 +96,6 @@ class LinearCode:
             self._cache["table"] = table
         return self._cache["table"]
 
-    def contains(self, word: int) -> bool:
-        """Membership test for a codeword given as an int bitset."""
-        return self.h.mat_vec(word) == 0
-
 
 def _combination_table(rows: list[int], n: int) -> np.ndarray:
     """All XOR combinations of the given rows, in mask order, packed."""

@@ -80,13 +80,6 @@ class PreprocessPlan:
         return out
 
 
-def preprocess_llrs(t: GeneralizedAutomorphism, llrs: LlrVector) -> LlrVector:
-    """Per-coordinate box-plus combination of the LLRs selected by t's rows."""
-    if t.n != len(llrs):
-        raise ValueError("LLR length does not match the automorphism")
-    return LlrVector(PreprocessPlan(t.matrix).apply(llrs.values[None, :])[0])
-
-
 @dataclass(frozen=True)
 class BpConfig:
     """Normalized min-sum settings; flooding is the only schedule."""
@@ -104,7 +97,7 @@ class BpConfig:
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """Hard decision plus bookkeeping shared by every decoder."""
+    """One frame's hard decision and bookkeeping, as `osd_decode` returns it."""
 
     hard_bits: np.ndarray
     is_codeword: bool
@@ -179,13 +172,13 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     of a dense (checks, n) layout that holds zeros off the edges.
     """
     n_frames, n = llrs.shape
+    if n != graph.n:
+        raise ValueError("LLR length does not match the graph")
     out_hard = np.empty((n_frames, n), dtype=np.uint8)
     out_valid = np.zeros(n_frames, dtype=bool)
     out_iters = np.full(n_frames, cfg.iterations, dtype=np.int64)
     if n_frames == 0:
         return out_hard, out_valid, out_iters
-    if n != graph.n:
-        raise ValueError("LLR length does not match the graph")
     # a NaN would decode as a valid all-zero word; big finite values saturate
     if not np.isfinite(llrs).all():
         raise ValueError("llrs contain NaN or infinity")
@@ -253,16 +246,6 @@ def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * hard.astype(np.float64)) * llrs).sum(axis=-1)
 
 
-def bp_min_sum(h: BitMatrix, llrs: LlrVector, cfg: BpConfig) -> DecodeOutcome:
-    """Decode one frame; h may carry redundant rows."""
-    graph = TannerGraph.from_pcm(h)
-    if h.cols != len(llrs):
-        raise ValueError("LLR length does not match the matrix")
-    hard, valid, iters = bp_min_sum_batch(graph, llrs.values[None, :], cfg)
-    corr = _correlation(hard[0], llrs.values)
-    return DecodeOutcome(hard[0], bool(valid[0]), int(iters[0]), 0, float(corr))
-
-
 class GaedEnsemble:
     """Automorphism ensemble decoder with an ML-in-the-list final choice.
 
@@ -292,6 +275,9 @@ class GaedEnsemble:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
+        # box-plus would turn an infinity finite before BP could see it
+        if not np.isfinite(llrs).all():
+            raise ValueError("llrs contain NaN or infinity")
         n_frames = llrs.shape[0]
         paths = len(self.plans)
         hards = np.empty((paths, n_frames, self.code.n), dtype=np.uint8)
@@ -318,15 +304,6 @@ def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)
                    ) -> list[GeneralizedAutomorphism]:
     """Ensemble members t^alpha for the given exponents, in order."""
     return [GeneralizedAutomorphism.from_matrix(aut.power(a)) for a in powers]
-
-
-def gaed_decode(code: LinearCode, auts, llrs: LlrVector,
-                cfg: BpConfig) -> DecodeOutcome:
-    """Single-frame ensemble decode; see GaedEnsemble for the batch form."""
-    ens = GaedEnsemble(code, auts)
-    hard, valid, iters, path, corr = ens.decode_batch(llrs.values[None, :], cfg)
-    return DecodeOutcome(hard[0], bool(valid[0]), int(iters[0]),
-                         int(path[0]), float(corr[0]))
 
 
 def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
@@ -358,21 +335,21 @@ def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
     return stacked
 
 
-def redundant_row_decode(code: LinearCode, pool: DualWordPool, ell: int,
-                         llrs: LlrVector, cfg: BpConfig) -> DecodeOutcome:
-    """BP over an overcomplete PCM drawn from a low-weight dual-word pool."""
-    return bp_min_sum(stack_redundant_pcm(code, pool, ell), llrs, cfg)
-
-
 def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
     """Ordered-statistics decoding of one frame: the one-row call of
-    `osd_decode_batch`, with its checks, its tie rule and its result."""
+    `osd_decode_batch`, with its checks, its tie rule and its result.
+
+    Only the benchmark's OSD check and its tracer still call it; decode
+    batches with `osd_decode_batch`."""
     hard, corr = osd_decode_batch(code, llrs.values[None, :], order)
     return DecodeOutcome(hard[0], True, 0, 0, float(corr[0]))
 
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood decisions for a (frames, n) batch."""
+    if llrs.shape[-1] != code.n:
+        raise ValueError(f"llrs length {llrs.shape[-1]} does not match the "
+                         f"code length {code.n}")
     # argmax over a row of NaN correlations would pick the all-zero word
     if not np.isfinite(llrs).all():
         raise ValueError("llrs contain NaN or infinity")
@@ -380,10 +357,3 @@ def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     signs = 1.0 - 2.0 * table.astype(np.float64)
     picks = (llrs @ signs.T).argmax(axis=1)
     return table[picks]
-
-
-def ml_decode(code: LinearCode, llrs: LlrVector) -> DecodeOutcome:
-    """Exhaustive maximum-likelihood decoding over the codeword table."""
-    hard = ml_decode_batch(code, llrs.values[None, :])[0]
-    return DecodeOutcome(hard, True, 0, 0,
-                         float(_correlation(hard, llrs.values)))

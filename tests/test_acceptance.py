@@ -13,15 +13,14 @@ from operator import mul
 import mpmath
 import numpy as np
 
-from gaedkit import (BitMatrix, BpConfig, DecoderSpec,
-                     GeneralizedAutomorphism, LinearCode, LlrVector,
-                     SweepConfig, awgn_llr, awgn_llr_batch, box_plus,
-                     bp_min_sum, compute_ccm, conjugate_z,
+from gaedkit import (BitMatrix, BpConfig, DecoderSpec, GaedEnsemble,
+                     GeneralizedAutomorphism, LinearCode, SweepConfig,
+                     awgn_llr_batch, box_plus, compute_ccm, conjugate_z,
                      construct_code_with_automorphism, frobenius_normal_form,
-                     gaed_decode, invert, membership_in_z, osd_decode,
-                     preprocess_llrs, random_z_block, rank, run_sweep,
-                     verify_automorphism)
-from gaedkit.decoders import ml_decode_batch
+                     invert, membership_in_z, osd_decode_batch,
+                     random_z_block, rank, run_sweep, verify_automorphism)
+from gaedkit.decoders import (PreprocessPlan, TannerGraph, bp_min_sum_batch,
+                              ml_decode_batch)
 from gaedkit.gf2 import char_poly
 
 SEED_32 = 6   # (32, 16) design with a weight-42 automorphism
@@ -128,28 +127,29 @@ def test_box_plus_value_and_permutation_passthrough():
     perm = rng.permutation(24)
     t = GeneralizedAutomorphism.from_matrix(
         BitMatrix((1 << int(p) for p in perm), 24))
-    llrs = LlrVector(rng.uniform(-20.0, 20.0, size=24))
-    out = preprocess_llrs(t, llrs)
-    assert np.array_equal(out.values, llrs.values[perm])
+    llrs = rng.uniform(-20.0, 20.0, size=(1, 24))
+    out = PreprocessPlan(t.matrix).apply(llrs)
+    assert np.array_equal(out, llrs[:, perm])
 
 
 def test_identity_ensemble_matches_plain_bp():
     res = construct_code_with_automorphism(16, 8, 4, seed=0)
     code = res.code
-    identity = [GeneralizedAutomorphism.identity(code.n)]
+    graph = TannerGraph.from_pcm(code.h)
+    ens = GaedEnsemble(code, [GeneralizedAutomorphism.identity(code.n)])
     cfg = BpConfig(iterations=10)
     rng = np.random.default_rng(505)
     rate = code.k / code.n
     for _ in range(1000):
         cw = code.encode(rng.integers(0, 2, size=code.k))
-        llr = awgn_llr(cw, 3.0, rate, rng)
-        a = bp_min_sum(code.h, llr, cfg)
-        b = gaed_decode(code, identity, llr, cfg)
-        assert np.array_equal(a.hard_bits, b.hard_bits)
-        assert a.is_codeword == b.is_codeword
-        assert a.iterations_used == b.iterations_used
-        assert a.correlation == b.correlation
-        assert b.path_index == 0
+        llr = awgn_llr_batch(cw[None, :], 3.0, rate, rng)
+        hard, valid, iters = bp_min_sum_batch(graph, llr, cfg)
+        b_hard, b_valid, b_iters, path, corr = ens.decode_batch(llr, cfg)
+        assert np.array_equal(hard, b_hard)
+        assert valid[0] == b_valid[0]
+        assert iters[0] == b_iters[0]
+        assert corr[0] == ((1.0 - 2.0 * hard[0]) * llr[0]).sum()
+        assert path[0] == 0
 
 
 def test_ensemble_gain_over_plain_bp():
@@ -196,8 +196,7 @@ def test_osd_agrees_with_exhaustive_ml():
     cws = (msgs @ code.g_numpy()) % 2
     llrs = awgn_llr_batch(cws, 3.5, code.k / code.n, rng)
     ml_hard = ml_decode_batch(code, llrs)
-    osd_hard = np.array([osd_decode(code, LlrVector(row), 3).hard_bits
-                         for row in llrs])
+    osd_hard, _ = osd_decode_batch(code, llrs, 3)
     agreement = np.all(osd_hard == ml_hard, axis=1).mean()
     assert agreement >= 0.999
     ml_errors = int((ml_hard != cws).any(axis=1).sum())

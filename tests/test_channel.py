@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gaedkit.channel import (LLR_CLAMP, LlrVector, awgn_llr, awgn_llr_batch,
-                             noise_sigma)
+from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch, noise_sigma
 
 
 def q_function(x: float) -> float:
@@ -55,10 +54,9 @@ def test_non_binary_codeword_bits_are_rejected():
     for bad in (2, 3, -1, 0.5, np.nan):
         words = np.zeros((2, 4))
         words[1, 2] = bad
-        with pytest.raises(ValueError, match="codewords"):
-            awgn_llr_batch(words, 3.0, 0.5, rng)
-        with pytest.raises(ValueError, match="codewords"):
-            awgn_llr(words[1], 3.0, 0.5, seed=1)
+        for bits in (words, words[1:]):
+            with pytest.raises(ValueError, match="codewords"):
+                awgn_llr_batch(bits, 3.0, 0.5, rng)
     ok = np.array([[0, 1, True, False]])
     assert awgn_llr_batch(ok, 3.0, 0.5, rng).shape == (1, 4)
 
@@ -67,26 +65,28 @@ def test_clamp_bounds_all_outputs():
     rng = np.random.default_rng(2)
     llrs = awgn_llr_batch(np.zeros((64, 100), dtype=np.uint8), 15.0, 0.5, rng)
     assert np.all(np.abs(llrs) <= LLR_CLAMP)
-    single = awgn_llr(np.zeros(50, dtype=np.uint8), 15.0, 0.5, seed=2)
-    assert np.all(np.abs(single.values) <= LLR_CLAMP)
 
 
 def test_determinism_and_generator_passing():
-    bits = np.zeros(32, dtype=np.uint8)
-    a = awgn_llr(bits, 2.0, 0.5, seed=7)
-    b = awgn_llr(bits, 2.0, 0.5, seed=7)
-    assert np.array_equal(a.values, b.values)
-    c = awgn_llr(bits, 2.0, 0.5, seed=np.random.default_rng(7))
-    assert np.array_equal(a.values, c.values)
-    d = awgn_llr(bits, 2.0, 0.5, seed=8)
-    assert not np.array_equal(a.values, d.values)
+    bits = np.zeros((2, 32), dtype=np.uint8)
+    a = awgn_llr_batch(bits, 2.0, 0.5, np.random.default_rng(7))
+    b = awgn_llr_batch(bits, 2.0, 0.5, np.random.default_rng(7))
+    assert np.array_equal(a, b)
+    d = awgn_llr_batch(bits, 2.0, 0.5, np.random.default_rng(8))
+    assert not np.array_equal(a, d)
+    # a generator passed on draws the next frames, not the same ones again
+    rng = np.random.default_rng(7)
+    first = awgn_llr_batch(bits, 2.0, 0.5, rng)
+    assert not np.array_equal(first, awgn_llr_batch(bits, 2.0, 0.5, rng))
 
 
 def test_single_frame_matches_batch_row():
-    bits = np.zeros((1, 40), dtype=np.uint8)
+    # one-row calls sharing a generator draw the rows of one batch call
+    bits = np.zeros((3, 40), dtype=np.uint8)
     batch = awgn_llr_batch(bits, 3.0, 0.5, np.random.default_rng(11))
-    single = awgn_llr(np.zeros(40, dtype=np.uint8), 3.0, 0.5, seed=11)
-    assert np.array_equal(batch[0], single.values)
+    rng = np.random.default_rng(11)
+    for row in batch:
+        assert np.array_equal(awgn_llr_batch(bits[:1], 3.0, 0.5, rng)[0], row)
 
 
 def test_llr_scaling_is_invertible_to_samples():

@@ -86,9 +86,9 @@ def test_encode_and_contains():
         msg = rng.integers(0, 2, size=c.k, dtype=np.uint8)
         cw = c.encode(msg)
         assert cw.shape == (7,)
-        assert c.contains(bits_to_int(cw))
-    assert c.contains(0)
-    assert not c.contains(1)  # weight-1 word cannot be a codeword at d=3
+        assert c.h.mat_vec(bits_to_int(cw)) == 0
+    assert c.h.mat_vec(0) == 0
+    assert c.h.mat_vec(1) != 0  # weight-1 word cannot be a codeword at d=3
     with pytest.raises(ValueError, match="4 bits"):
         c.encode([1, 0])
 
@@ -99,7 +99,7 @@ def test_codeword_table():
     assert table.shape == (16, 7)
     words = {bits_to_int(row) for row in table}
     assert len(words) == 16
-    assert all(c.contains(w) for w in words)
+    assert all(c.h.mat_vec(w) == 0 for w in words)
     # closure under addition
     rows = list(words)
     assert all((a ^ b) in words for a in rows[:6] for b in rows[:6])

@@ -17,11 +17,9 @@ from gaedkit.automorphisms import (GeneralizedAutomorphism,
 from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch
 from gaedkit.codes import DualWordPool, LinearCode
 from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
-                              PreprocessPlan, TannerGraph, bp_min_sum,
-                              bp_min_sum_batch, box_plus, gaed_decode,
-                              ml_decode, ml_decode_batch, osd_decode,
-                              power_ensemble, preprocess_llrs,
-                              redundant_row_decode, stack_redundant_pcm)
+                              PreprocessPlan, TannerGraph, bp_min_sum_batch,
+                              box_plus, ml_decode_batch, osd_decode,
+                              power_ensemble, stack_redundant_pcm)
 from gaedkit.gf2 import BitMatrix, independent_rows, invert, rank
 from gaedkit.osd import osd_decode_batch
 
@@ -121,16 +119,6 @@ def test_preprocess_validation():
     plan = PreprocessPlan(BitMatrix.identity(4))
     with pytest.raises(ValueError, match="length"):
         plan.apply(np.zeros((2, 5)))
-
-
-def test_preprocess_llrs_wrapper():
-    aut = GeneralizedAutomorphism.identity(6)
-    v = LlrVector(np.linspace(-5, 5, 6))
-    out = preprocess_llrs(aut, v)
-    assert isinstance(out, LlrVector)
-    assert np.array_equal(out.values, v.values)
-    with pytest.raises(ValueError, match="length"):
-        preprocess_llrs(GeneralizedAutomorphism.identity(5), v)
 
 
 # -- BP kernel --------------------------------------------------------------
@@ -314,11 +302,12 @@ def test_bp_matches_naive_reference():
         cfg = BpConfig(iterations=int(rng.integers(1, 8)),
                        normalization=float(rng.choice([1.0, 0.75, 0.5])),
                        early_stop=bool(rng.integers(0, 2)))
-        out = bp_min_sum(h, LlrVector(chan), cfg)
+        hard, valid, iters = bp_min_sum_batch(TannerGraph.from_pcm(h),
+                                              chan[None, :], cfg)
         want_hard, want_valid, want_iters = naive_min_sum(h, chan, cfg)
-        assert np.array_equal(out.hard_bits, want_hard), trial
-        assert out.is_codeword == want_valid, trial
-        assert out.iterations_used == want_iters, trial
+        assert np.array_equal(hard[0], want_hard), trial
+        assert valid[0] == want_valid, trial
+        assert iters[0] == want_iters, trial
 
 
 def test_bp_batch_matches_single():
@@ -328,13 +317,14 @@ def test_bp_batch_matches_single():
         cfg = BpConfig(iterations=12, early_stop=early)
         frames = awgn_llr_batch(np.zeros((128, 16), dtype=np.uint8), 1.5, 0.5,
                                 np.random.default_rng(7))
-        hard, valid, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h),
-                                              frames, cfg)
+        graph = TannerGraph.from_pcm(code.h)
+        hard, valid, iters = bp_min_sum_batch(graph, frames, cfg)
         for i in range(128):
-            one = bp_min_sum(code.h, LlrVector(frames[i]), cfg)
-            assert np.array_equal(one.hard_bits, hard[i])
-            assert one.is_codeword == bool(valid[i])
-            assert one.iterations_used == int(iters[i])
+            one_hard, one_valid, one_iters = bp_min_sum_batch(
+                graph, frames[i:i + 1], cfg)
+            assert np.array_equal(one_hard[0], hard[i])
+            assert one_valid[0] == valid[i]
+            assert one_iters[0] == iters[i]
 
 
 def test_bp_noiseless_converges_in_one_iteration():
@@ -342,20 +332,21 @@ def test_bp_noiseless_converges_in_one_iteration():
     code = random_code(rng, 12, 5)
     msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
     cw = code.encode(msg).astype(np.float64)
-    llrs = LlrVector((1.0 - 2.0 * cw) * 20.0)
-    out = bp_min_sum(code.h, llrs, BpConfig(iterations=10))
-    assert out.is_codeword
-    assert out.iterations_used == 1
-    assert np.array_equal(out.hard_bits, cw.astype(np.uint8))
-    assert out.correlation == pytest.approx(20.0 * code.n)
+    llrs = (1.0 - 2.0 * cw[None, :]) * 20.0
+    hard, valid, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h), llrs,
+                                          BpConfig(iterations=10))
+    assert valid[0]
+    assert iters[0] == 1
+    assert np.array_equal(hard[0], cw.astype(np.uint8))
 
 
 def test_bp_early_stop_off_runs_all_iterations():
     rng = np.random.default_rng(76)
     code = random_code(rng, 12, 5)
-    llrs = LlrVector(rng.uniform(-4, 4, size=12))
-    out = bp_min_sum(code.h, llrs, BpConfig(iterations=9, early_stop=False))
-    assert out.iterations_used == 9
+    llrs = rng.uniform(-4, 4, size=(1, 12))
+    _, _, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h), llrs,
+                                   BpConfig(iterations=9, early_stop=False))
+    assert iters[0] == 9
 
 
 def test_bp_config_validation():
@@ -370,10 +361,14 @@ def test_bp_config_validation():
 def test_bp_input_validation():
     cfg = BpConfig(iterations=2)
     with pytest.raises(ValueError, match="empty row"):
-        bp_min_sum(BitMatrix.from_rows([[1, 1], [0, 0]]),
-                   LlrVector(np.ones(2)), cfg)
-    with pytest.raises(ValueError, match="length"):
-        bp_min_sum(HAMMING_74_H, LlrVector(np.ones(6)), cfg)
+        TannerGraph.from_pcm(BitMatrix.from_rows([[1, 1], [0, 0]]))
+    graph = TannerGraph.from_pcm(HAMMING_74_H)
+    # an empty batch is checked too
+    for llrs in (np.ones((1, 6)), np.ones((0, 5))):
+        with pytest.raises(ValueError, match="length"):
+            bp_min_sum_batch(graph, llrs, cfg)
+    hard, valid, iters = bp_min_sum_batch(graph, np.ones((0, 7)), cfg)
+    assert (hard.shape, valid.shape, iters.shape) == ((0, 7), (0,), (0,))
 
 
 def test_decode_outcome_is_frozen():
@@ -478,7 +473,12 @@ def test_bp_and_gaed_reject_non_finite_llrs():
     # word as a valid codeword for an all-NaN frame or one NaN among -3.0s
     code, aut = built_pair()
     graph = TannerGraph.from_pcm(code.h)
-    ens = GaedEnsemble(code, power_ensemble(aut))
+    # with no identity path, box-plus turns an infinity at column 5 finite
+    # before BP sees it: every row of T that reads column 5 reads another
+    t = aut.matrix.to_numpy().astype(bool)
+    assert (t.sum(axis=1)[t[:, 5]] > 1).all()
+    ensembles = [GaedEnsemble(code, power_ensemble(aut, powers))
+                 for powers in ((0, 1, -1), (1,))]
     cfg = BpConfig(iterations=10)
     for value in (np.nan, np.inf, -np.inf):
         one_bad = np.full((3, code.n), -3.0)
@@ -486,8 +486,9 @@ def test_bp_and_gaed_reject_non_finite_llrs():
         for llrs in (np.full((2, code.n), value), one_bad):
             with pytest.raises(ValueError, match="llrs"):
                 bp_min_sum_batch(graph, llrs, cfg)
-            with pytest.raises(ValueError, match="llrs"):
-                ens.decode_batch(llrs, cfg)
+            for ens in ensembles:
+                with pytest.raises(ValueError, match="llrs"):
+                    ens.decode_batch(llrs, cfg)
     # finite values beyond the clamp still saturate
     hard, valid, iters = bp_min_sum_batch(
         graph, np.full((1, code.n), 4 + LLR_CLAMP), cfg)
@@ -509,11 +510,12 @@ def test_power_ensemble_members():
 def test_gaed_decode_single_frame():
     code, aut = built_pair()
     cw = code.encode(np.ones(code.k, dtype=np.uint8)).astype(np.float64)
-    llrs = LlrVector((1.0 - 2.0 * cw) * 12.0)
-    out = gaed_decode(code, power_ensemble(aut), llrs, BpConfig(iterations=8))
-    assert out.is_codeword
-    assert np.array_equal(out.hard_bits, cw.astype(np.uint8))
-    assert out.path_index == 0
+    llrs = (1.0 - 2.0 * cw[None, :]) * 12.0
+    hard, valid, _, path, _ = GaedEnsemble(
+        code, power_ensemble(aut)).decode_batch(llrs, BpConfig(iterations=8))
+    assert valid[0]
+    assert np.array_equal(hard[0], cw.astype(np.uint8))
+    assert path[0] == 0
 
 
 # -- redundant-row stacks ----------------------------------------------------
@@ -546,11 +548,10 @@ def test_redundant_stack_of_h_itself_reproduces_bp():
     frames = awgn_llr_batch(np.zeros((40, code.n), dtype=np.uint8), 2.0, 0.5,
                             np.random.default_rng(12))
     cfg = BpConfig(iterations=10)
-    for i in range(40):
-        a = redundant_row_decode(code, pool, 1, LlrVector(frames[i]), cfg)
-        b = bp_min_sum(code.h, LlrVector(frames[i]), cfg)
-        assert np.array_equal(a.hard_bits, b.hard_bits)
-        assert a.correlation == b.correlation
+    a = bp_min_sum_batch(TannerGraph.from_pcm(stacked), frames, cfg)
+    b = bp_min_sum_batch(TannerGraph.from_pcm(code.h), frames, cfg)
+    for got, want in zip(a, b):
+        assert np.array_equal(got, want)
 
 
 def test_stack_redundant_pcm_errors():
@@ -599,13 +600,9 @@ def test_stack_redundant_pcm_errors():
 def test_osd_zero_order_noiseless_recovers_codeword():
     code = LinearCode.from_pcm(HAMMING_74_H)
     rng = np.random.default_rng(80)
-    for _ in range(20):
-        cw = code.encode(rng.integers(0, 2, size=4, dtype=np.uint8))
-        llrs = LlrVector((1.0 - 2.0 * cw.astype(np.float64)) * 9.0)
-        out = osd_decode(code, llrs, order=0)
-        assert np.array_equal(out.hard_bits, cw)
-        assert out.is_codeword
-        assert out.iterations_used == 0
+    cws = code.encode(rng.integers(0, 2, size=(20, 4), dtype=np.uint8))
+    hard, _ = osd_decode_batch(code, (1.0 - 2.0 * cws) * 9.0, 0)
+    assert np.array_equal(hard, cws)
 
 
 def test_osd_outputs_codewords_and_improves_with_order():
@@ -614,13 +611,10 @@ def test_osd_outputs_codewords_and_improves_with_order():
     frames = awgn_llr_batch(np.zeros((100, 7), dtype=np.uint8), 0.5, 4 / 7, rng)
     prev = None
     for order in (0, 1, 2, 3):
-        corrs = []
-        for i in range(frames.shape[0]):
-            out = osd_decode(code, LlrVector(frames[i]), order)
-            bits_int = int(sum(int(b) << j for j, b in enumerate(out.hard_bits)))
-            assert code.contains(bits_int)
-            corrs.append(out.correlation)
-        corrs = np.array(corrs)
+        hard, corrs = osd_decode_batch(code, frames, order)
+        for bits in hard:
+            bits_int = int(sum(int(b) << j for j, b in enumerate(bits)))
+            assert code.h.mat_vec(bits_int) == 0
         if prev is not None:
             assert np.all(corrs >= prev - 1e-12)
         prev = corrs
@@ -630,10 +624,9 @@ def test_osd_full_order_matches_ml_correlation():
     rng = np.random.default_rng(82)
     code = random_code(rng, 8, 4)
     frames = awgn_llr_batch(np.zeros((100, 8), dtype=np.uint8), 1.0, 0.5, rng)
-    for i in range(frames.shape[0]):
-        osd = osd_decode(code, LlrVector(frames[i]), order=code.k)
-        ml = ml_decode(code, LlrVector(frames[i]))
-        assert osd.correlation == pytest.approx(ml.correlation, abs=1e-9)
+    _, osd_corr = osd_decode_batch(code, frames, code.k)
+    ml_corr = ((1.0 - 2.0 * ml_decode_batch(code, frames)) * frames).sum(axis=1)
+    assert osd_corr == pytest.approx(ml_corr, abs=1e-9)
 
 
 def test_osd_never_beats_ml():
@@ -642,17 +635,14 @@ def test_osd_never_beats_ml():
     frames = awgn_llr_batch(np.zeros((200, 12), dtype=np.uint8), 1.0, 0.5, rng)
     mls = ml_decode_batch(code, frames)
     ml_corr = ((1.0 - 2.0 * mls) * frames).sum(axis=1)
-    for i in range(frames.shape[0]):
-        out = osd_decode(code, LlrVector(frames[i]), order=2)
-        assert out.correlation <= ml_corr[i] + 1e-9
+    _, osd_corr = osd_decode_batch(code, frames, 2)
+    assert np.all(osd_corr <= ml_corr + 1e-9)
 
 
-def gauss_jordan_osd(code: LinearCode, llrs: LlrVector, order: int):
-    """The numpy Gauss-Jordan OSD that osd_decode replaced, kept as oracle.
-
-    Returns (hard bits, correlation).
+def gauss_jordan_osd(code: LinearCode, vals: np.ndarray, order: int):
+    """The numpy Gauss-Jordan OSD of one frame that the batched OSD
+    replaced, kept as oracle. Returns (hard bits, correlation).
     """
-    vals = llrs.values
     perm = np.argsort(-np.abs(vals), kind="stable")
     work = code.g_numpy()[:, perm].copy()
     k, n = work.shape
@@ -713,21 +703,19 @@ def test_osd_matches_gauss_jordan_oracle():
         # small integers: tied reliabilities and zero LLRs
         ties = rng.integers(-3, 4, size=(6, n)).astype(np.float64)
         for row in np.concatenate((awgn, ties)):
-            llrs = LlrVector(row)
             for order in range(4):
-                got = osd_decode(code, llrs, order)
-                want_bits, want_corr = gauss_jordan_osd(code, llrs, order)
-                assert np.array_equal(got.hard_bits, want_bits), (n, k, order)
-                assert got.correlation == want_corr, (n, k, order)
+                hard, corr = osd_decode_batch(code, row[None, :], order)
+                want_bits, want_corr = gauss_jordan_osd(code, row, order)
+                assert np.array_equal(hard[0], want_bits), (n, k, order)
+                assert corr[0] == want_corr, (n, k, order)
 
 
-def per_frame_osd(code: LinearCode, llrs: LlrVector, order: int):
+def per_frame_osd(code: LinearCode, vals: np.ndarray, order: int):
     """The one-frame OSD that osd_decode_batch replaced, kept as oracle.
 
     Information set from independent_rows over G's columns in reliability
     order, reduced generator from invert. Returns (hard bits, correlation).
     """
-    vals = llrs.values
     perm = np.argsort(-np.abs(vals), kind="stable")
     cols = list(code.g.transpose())
     k = code.k
@@ -810,9 +798,8 @@ def test_osd_batch_matches_per_frame_oracles(seed, n, k_frac, order, frames,
     # float rounding may differ from one product over the whole group
     exact = ties or widest <= budget
     for f in range(frames):
-        row = LlrVector(llrs[f])
         for oracle in (gauss_jordan_osd, per_frame_osd):
-            want_bits, want_corr = oracle(code, row, order)
+            want_bits, want_corr = oracle(code, llrs[f], order)
             assert np.array_equal(hard[f], want_bits), (oracle, f)
             if exact:
                 assert corr[f] == want_corr, (oracle, f)
@@ -836,8 +823,7 @@ def test_osd_tie_across_pattern_chunks_keeps_the_earlier():
     for hard, corr in (split, whole):
         assert np.array_equal(hard[0], earlier)
         assert corr[0] == 7.0
-    assert np.array_equal(per_frame_osd(code, LlrVector(llrs[0]), 1)[0],
-                          earlier)
+    assert np.array_equal(per_frame_osd(code, llrs[0], 1)[0], earlier)
 
 
 def test_osd_batch_bounds_memory_at_large_k():
@@ -871,6 +857,7 @@ def test_osd_batch_empty_and_single_row_agree_with_osd_decode():
         one = osd_decode(code, LlrVector(frames[f]), 2)
         assert np.array_equal(one.hard_bits, hard[f])
         assert one.correlation == corr[f]
+        assert one.is_codeword and one.iterations_used == 0
 
 
 def test_osd_validation():
@@ -908,11 +895,11 @@ def test_ml_decode_is_argmax_over_the_table():
     frames = awgn_llr_batch(np.zeros((50, 10), dtype=np.uint8), 0.0, 0.5, rng)
     batch = ml_decode_batch(code, frames)
     for i in range(frames.shape[0]):
-        out = ml_decode(code, LlrVector(frames[i]))
-        assert np.array_equal(out.hard_bits, batch[i])
-        assert out.is_codeword
+        assert np.array_equal(ml_decode_batch(code, frames[i:i + 1])[0],
+                              batch[i])
+        corr = ((1.0 - 2.0 * batch[i]) * frames[i]).sum()
         all_corrs = signs @ frames[i]
-        assert out.correlation == pytest.approx(float(all_corrs.max()), abs=1e-12)
+        assert corr == pytest.approx(float(all_corrs.max()), abs=1e-12)
 
 
 def test_ml_decode_batch_rejects_non_finite_llrs():
@@ -926,3 +913,10 @@ def test_ml_decode_batch_rejects_non_finite_llrs():
             with pytest.raises(ValueError, match="llrs"):
                 ml_decode_batch(code, llrs)
     assert ml_decode_batch(code, np.full((1, 7), -3.0)).tolist() == [[1] * 7]
+
+
+def test_ml_decode_batch_rejects_wrong_length():
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    for llrs in (np.ones((2, 6)), np.ones((0, 8))):
+        with pytest.raises(ValueError, match="llrs length"):
+            ml_decode_batch(code, llrs)
