@@ -18,7 +18,7 @@ import numpy as np
 
 from .codes import (DualWordPool, LinearCode, ReductionError,
                     low_weight_dual_search, optimize_pcm, reduce_zero_columns)
-from .frobenius import frobenius_normal_form
+from .frobenius import _deflate, invariant_factors
 from .gf2 import BitMatrix, SingularMatrixError, column_reduce, invert, rank
 
 
@@ -251,11 +251,12 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
     """Build an (n, k) code that owns a designed sparse automorphism.
 
     Pipeline per attempt: sample an invertible matrix of weight n +
-    delta_obj, bring it to companion normal form, reorder blocks so a size-k
-    subset sits in the lower-right corner, read H off the inverse basis,
-    drop coordinates frozen at zero, then re-derive a low-weight PCM. Block
-    orderings that do not exist and reductions that break invertibility are
-    counted and resampled, up to max_resamples.
+    delta_obj, order its companion blocks (sized by its invariant factors)
+    so a size-k subset sits in the lower-right corner, bring it to that
+    normal form, read H off the inverse basis, drop coordinates frozen at
+    zero, then re-derive a low-weight PCM. Block orderings that do not
+    exist and reductions that break invertibility are counted and
+    resampled, up to max_resamples.
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
@@ -270,11 +271,15 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
     for attempt in range(1, max_resamples + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, attempt)))
         t = sample_sparse_invertible(n, n + delta_obj, rng)
-        fb = frobenius_normal_form(t)
-        order = order_blocks(fb.block_sizes, k)
+        # the invariant factors give the block sizes in the normal form's
+        # block order, so a failed ordering skips the deflation
+        factors = invariant_factors(t)
+        order = order_blocks([p.degree * e for parts in factors
+                              for p, e in parts], k)
         if order is None:
             ordering_failures += 1
             continue
+        fb = _deflate(t, factors)
         starts = np.concatenate(([0], np.cumsum(fb.block_sizes))).tolist()
         col_order = [c for b in order
                      for c in range(starts[b], starts[b] + fb.block_sizes[b])]

@@ -32,6 +32,13 @@ class LlrVector:
         return self.values.shape[0]
 
 
+def check_llr_batch(llrs) -> None:
+    """Reject anything but a 2-D (frames, n) batch of LLRs."""
+    if np.ndim(llrs) != 2:
+        raise ValueError(f"llrs must be a (frames, n) array, got shape "
+                         f"{np.shape(llrs)}")
+
+
 def noise_sigma(ebn0_db: float, rate: float) -> float:
     """Per-dimension noise standard deviation for BPSK at a given Eb/N0."""
     if rate <= 0:

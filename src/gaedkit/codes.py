@@ -273,8 +273,10 @@ def check_pool(c: LinearCode, pool: DualWordPool) -> None:
     """Confirm every pool word is a dual codeword of c."""
     if pool.n != c.n:
         raise ValueError("pool length does not match the code")
+    # G @ w as the XOR of G's columns that w picks: pool words are light
+    g_cols = tuple(c.g.transpose())
     for w in pool.words:
-        if c.g.mat_vec(w) != 0:
+        if xor_rows(g_cols, w):
             raise ValueError("pool contains a word outside the dual code")
 
 
@@ -311,8 +313,8 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
         if trial == 0:
             order = sorted(range(len(words)), key=lambda i: (weights[i], words[i]))
         else:
-            jitter = rng.permutation(len(words))
-            order = sorted(range(len(words)), key=lambda i: (weights[i], jitter[i]))
+            # the jitter is a permutation, so it breaks every weight tie
+            order = np.lexsort((rng.permutation(len(words)), weights)).tolist()
         picks = islice(independent_rows(words[i] for i in order), r)
         rows = sorted((words[order[j]] for j in picks),
                       key=lambda v: (v.bit_count(), v))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
-from .channel import LLR_CLAMP, LlrVector
+from .channel import LLR_CLAMP, LlrVector, check_llr_batch
 from .codes import DualWordPool, LinearCode, check_pool
 from .gf2 import BitMatrix, independent_rows, rank
 from .osd import osd_decode_batch
@@ -66,6 +66,7 @@ class PreprocessPlan:
 
     def apply(self, llrs: np.ndarray) -> np.ndarray:
         """Transform a (frames, n) LLR array; pure function of its input."""
+        check_llr_batch(llrs)
         if llrs.shape[-1] != self.n:
             raise ValueError("LLR length does not match the matrix")
         out = np.empty_like(llrs)
@@ -171,6 +172,7 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     ascending check order: bit for bit the sequential sum over all checks
     of a dense (checks, n) layout that holds zeros off the edges.
     """
+    check_llr_batch(llrs)
     n_frames, n = llrs.shape
     if n != graph.n:
         raise ValueError("LLR length does not match the graph")
@@ -275,6 +277,7 @@ class GaedEnsemble:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
+        check_llr_batch(llrs)
         # box-plus would turn an infinity finite before BP could see it
         if not np.isfinite(llrs).all():
             raise ValueError("llrs contain NaN or infinity")
@@ -347,6 +350,7 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood decisions for a (frames, n) batch."""
+    check_llr_batch(llrs)
     if llrs.shape[-1] != code.n:
         raise ValueError(f"llrs length {llrs.shape[-1]} does not match the "
                          f"code length {code.n}")

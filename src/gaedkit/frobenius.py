@@ -12,6 +12,8 @@ invariant-factor block into prime-power components, which gives the finest
 companion-block decomposition the matrix admits.
 
 Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
+Products t @ v go through per-byte XOR tables of t's columns, built once per
+matrix, so each costs one lookup per byte of v.
 """
 
 from __future__ import annotations
@@ -37,8 +39,32 @@ class FrobeniusForm:
         return tuple(f.degree for f in self.blocks)
 
 
-def _apply_poly(tt_rows: tuple[int, ...], f: Gf2Poly, v: int) -> int:
-    """f(t) @ v, evaluated power by power; tt_rows holds the columns of t."""
+_Tables = tuple[list[int], ...]
+
+
+def _byte_tables(t: BitMatrix) -> _Tables:
+    """Per-byte XOR tables of t's columns: entry x of table b is the XOR of
+    the columns 8b + i for the set bits i of x (a four-Russians table)."""
+    cols = list(t.transpose())
+    tables = []
+    for b in range(0, len(cols), 8):
+        tab = [0]
+        for c in cols[b:b + 8]:
+            tab += [x ^ c for x in tab]
+        tables.append(tab)
+    return tuple(tables)
+
+
+def _times(tables: _Tables, v: int) -> int:
+    """t @ v from t's byte tables; equals xor_rows(columns of t, v)."""
+    acc = 0
+    for tab, byte in zip(tables, v.to_bytes(len(tables), "little")):
+        acc ^= tab[byte]
+    return acc
+
+
+def _apply_poly(tables: _Tables, f: Gf2Poly, v: int) -> int:
+    """f(t) @ v, evaluated power by power."""
     acc = 0
     cur = v
     bits = f.bits
@@ -47,11 +73,11 @@ def _apply_poly(tt_rows: tuple[int, ...], f: Gf2Poly, v: int) -> int:
             acc ^= cur
         bits >>= 1
         if bits:
-            cur = xor_rows(tt_rows, cur)
+            cur = _times(tables, cur)
     return acc
 
 
-def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
+def _conductor(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:
     """Minimal monic f with f(t) @ u inside the given span.
 
     Builds the cyclic chain of u in the quotient by the span; the witness
@@ -60,7 +86,7 @@ def _conductor(tt_rows: tuple[int, ...], span: Reducer, u: int) -> Gf2Poly:
     local = span.copy()
     j = 0
     while local.insert(u, 1 << j):
-        u = xor_rows(tt_rows, u)
+        u = _times(tables, u)
         j += 1
     return Gf2Poly((1 << j) ^ local.reduce(u)[1])
 
@@ -76,7 +102,7 @@ def invariant_factors(t: BitMatrix) -> list[list[tuple[Gf2Poly, int]]]:
     of exponent at least j, up to d_j = deg p times the multiplicity.
     """
     n = t.rows
-    tt_rows = tuple(t.transpose())
+    tables = _byte_tables(t)
     rounds: list[list[tuple[Gf2Poly, int]]] = []
     for p, m in factor(char_poly(t)):
         exponents = [1]
@@ -85,7 +111,7 @@ def invariant_factors(t: BitMatrix) -> list[list[tuple[Gf2Poly, int]]]:
             at_least: list[int] = []           # blocks of exponent >= j
             kernel = 0
             while kernel < m * p.degree:
-                cols = [_apply_poly(tt_rows, p, c) for c in cols]
+                cols = [_apply_poly(tables, p, c) for c in cols]
                 grown = n - rank(BitMatrix(cols, n))
                 if grown == kernel:
                     raise AssertionError("kernel of p(t)^j stopped growing")
@@ -107,16 +133,23 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
     (verified before returning). The product of the block polynomials is the
     characteristic polynomial of t, and the block multiset is canonical.
     """
-    n = t.rows
-    if n != t.cols:
+    if t.rows != t.cols:
         raise ValueError("normal form requires a square matrix")
-    tt_rows = tuple(t.transpose())
+    return _deflate(t, invariant_factors(t))
+
+
+def _deflate(t: BitMatrix, factors: list[list[tuple[Gf2Poly, int]]]
+             ) -> FrobeniusForm:
+    """The normal form of t from its invariant factors, as returned by
+    `invariant_factors(t)`; the blocks follow their order."""
+    n = t.rows
+    tables = _byte_tables(t)
 
     span = Reducer()
     chain_vectors: list[int] = []
     raw_blocks: list[tuple[int, Gf2Poly, list[tuple[Gf2Poly, int]]]] = []
 
-    for parts in invariant_factors(t):
+    for parts in factors:
         # a vector achieving the quotient minimal polynomial, which is the
         # round's invariant factor; once fw reaches it, every later
         # conductor divides fw and the scan could not change w
@@ -127,7 +160,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
             e = 1 << i
             if span.reduce(e)[0] == 0:
                 continue
-            fi = _conductor(tt_rows, span, e)
+            fi = _conductor(tables, span, e)
             l = poly_lcm(fw, fi)
             if l == fw:
                 continue
@@ -135,29 +168,29 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
                 w, fw = e, fi
             else:
                 a, b = coprime_split(fw, fi)
-                w = (_apply_poly(tt_rows, fw // a, w)
-                     ^ _apply_poly(tt_rows, fi // b, e))
+                w = (_apply_poly(tables, fw // a, w)
+                     ^ _apply_poly(tables, fi // b, e))
                 fw = a * b
             if fw == target:
                 break
         if fw != target:
             raise AssertionError("deflation missed the invariant factor")
-        if _conductor(tt_rows, span, w) != fw:
+        if _conductor(tables, span, w) != fw:
             raise AssertionError("combined vector missed the quotient annihilator")
 
         # correct w so its annihilator is exactly fw: fw(t) w lies in the
         # span, and the span is closed enough that fw(t) w = fw(t) w' has a
         # solution w' inside it (guaranteed by the maximal-conductor choice)
-        y = _apply_poly(tt_rows, fw, w)
+        y = _apply_poly(tables, fw, w)
         if chain_vectors:
-            images = BitMatrix([_apply_poly(tt_rows, fw, v) for v in chain_vectors], n)
+            images = BitMatrix([_apply_poly(tables, fw, v) for v in chain_vectors], n)
             combo = solve_left(images, y)
         else:
             combo = 0 if y == 0 else None
         if combo is None:
             raise AssertionError("cyclic deflation lost solvability")
         u = w ^ xor_rows(chain_vectors, combo)
-        if _apply_poly(tt_rows, fw, u):
+        if _apply_poly(tables, fw, u):
             raise AssertionError("corrected generator is not annihilated")
 
         cur = u
@@ -165,7 +198,7 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
             if not span.insert(cur):
                 raise AssertionError("cyclic chain collapsed")
             chain_vectors.append(cur)
-            cur = xor_rows(tt_rows, cur)
+            cur = _times(tables, cur)
         raw_blocks.append((u, fw, parts))
 
     # split each invariant-factor block into prime-power companion blocks
@@ -174,11 +207,11 @@ def frobenius_normal_form(t: BitMatrix) -> FrobeniusForm:
     for u, f, parts in raw_blocks:
         for p, e in parts:
             pe = p ** e
-            gen = _apply_poly(tt_rows, f // pe, u) if len(parts) > 1 else u
+            gen = _apply_poly(tables, f // pe, u) if len(parts) > 1 else u
             cur = gen
             for _ in range(pe.degree):
                 vectors.append(cur)
-                cur = xor_rows(tt_rows, cur)
+                cur = _times(tables, cur)
             blocks.append(pe)
 
     basis = BitMatrix(vectors, n).transpose()  # chain vectors as columns

@@ -10,8 +10,8 @@ from .gf2 import BitMatrix
 def write_dense(m: BitMatrix, path) -> None:
     """Dense format: first line "rows cols", then one 0/1 string per row."""
     lines = [f"{m.rows} {m.cols}"]
-    for r in m:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(m.cols)))
+    # bin() of r with a marker bit at cols, reversed, less "0b1": bit 0 first
+    lines += [bin(r | 1 << m.cols)[:2:-1] for r in m]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -30,7 +30,7 @@ def read_dense(path) -> BitMatrix:
     for i, ln in enumerate(lines[1:]):
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError(f"{path}: row {i} is not {cols} characters of 0/1")
-        bits.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
+        bits.append(int(ln[::-1], 2))
     return BitMatrix(bits, cols)
 
 

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .channel import LLR_CLAMP
+from .channel import LLR_CLAMP, check_llr_batch
 from .codes import LinearCode
 from .gf2 import bits_to_words, words_to_bits
 
@@ -114,9 +114,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     llrs = np.asarray(llrs, dtype=np.float64)
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    if llrs.ndim != 2:
-        raise ValueError(f"llrs must be a (frames, n) array, got shape "
-                         f"{llrs.shape}")
+    check_llr_batch(llrs)
     if llrs.shape[1] != code.n:
         raise ValueError(f"llrs length {llrs.shape[1]} does not match the "
                          f"code length {code.n}")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gaedkit import automorphisms
 from gaedkit.automorphisms import (Ccm, ConstructionError,
                                    GeneralizedAutomorphism, ZBlockMatrix,
                                    compute_ccm, conjugate_z,
@@ -226,6 +227,24 @@ def test_construction_results_are_consistent():
         assert verify_automorphism(c, res.t_squared)
         assert membership_in_z(res.ccm, aut.matrix)
         assert res.ccm.code is c
+
+
+def test_failed_orderings_skip_the_deflation(monkeypatch):
+    calls = []
+    deflate = automorphisms._deflate
+
+    def counting_deflate(t, factors):
+        calls.append(t)
+        return deflate(t, factors)
+
+    monkeypatch.setattr(automorphisms, "_deflate", counting_deflate)
+    misses = 0
+    for seed in range(5):
+        calls.clear()
+        res = construct_code_with_automorphism(64, 48, 16, seed=seed)
+        assert len(calls) == res.attempts - res.ordering_failures
+        misses += res.ordering_failures
+    assert misses   # the gate was exercised
 
 
 def test_construction_is_deterministic():

@@ -354,6 +354,33 @@ def test_dual_word_pool_sorts_dedups_and_checks_range():
     assert DualWordPool((1 << 6,), 7, True).words == (1 << 6,)
 
 
+@settings(derandomize=True, deadline=None, database=None)
+@given(weights=st.lists(st.integers(1, 4), min_size=1, max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+def test_lexsort_tie_break_matches_sorted_key(weights, seed):
+    # optimize_pcm's jittered trial order: few distinct weights, many ties
+    jitter = np.random.default_rng(seed).permutation(len(weights))
+    order = np.lexsort((jitter, weights)).tolist()
+    assert order == sorted(range(len(weights)),
+                           key=lambda i: (weights[i], jitter[i]))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(c=full_rank_codes(), seed=st.integers(0, 2**32 - 1))
+def test_check_pool_matches_generator_product(c, seed):
+    rng = np.random.default_rng(seed)
+    dual = [int(v) for v in rng.integers(1, 1 << c.n, size=20)]
+    dual += [xor_rows(list(c.h), m)
+             for m in rng.integers(1, 1 << c.h.rows, size=5).tolist()]
+    for w in dual:
+        pool = DualWordPool((w,), c.n, True)
+        if c.g.mat_vec(w) != 0:
+            with pytest.raises(ValueError, match="outside the dual code"):
+                check_pool(c, pool)
+        else:
+            check_pool(c, pool)
+
+
 def test_optimize_pcm_rejects_bad_pools():
     c = hamming74()
     alien = DualWordPool((0b1,), 7, True)

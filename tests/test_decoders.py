@@ -920,3 +920,23 @@ def test_ml_decode_batch_rejects_wrong_length():
     for llrs in (np.ones((2, 6)), np.ones((0, 8))):
         with pytest.raises(ValueError, match="llrs length"):
             ml_decode_batch(code, llrs)
+
+
+def test_single_frame_llrs_are_rejected_by_name():
+    # one frame without its batch axis used to fail inside numpy
+    res = construct_code_with_automorphism(16, 8, 0, seed=0)
+    code = res.code
+    llrs = np.ones(code.n)
+    cfg = BpConfig(iterations=5)
+    calls = [
+        lambda: bp_min_sum_batch(TannerGraph.from_pcm(code.h), llrs, cfg),
+        lambda: PreprocessPlan(res.aut.matrix).apply(llrs),
+        lambda: GaedEnsemble(code, power_ensemble(res.aut)).decode_batch(
+            llrs, cfg),
+        lambda: ml_decode_batch(code, llrs),
+        lambda: osd_decode_batch(code, llrs, 1),
+    ]
+    want = rf"llrs must be a \(frames, n\) array, got shape \({code.n},\)"
+    for call in calls:
+        with pytest.raises(ValueError, match=want):
+            call()

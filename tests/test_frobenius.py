@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaedkit import frobenius, gf2poly
-from gaedkit.frobenius import (FrobeniusForm, _apply_poly, _conductor,
-                               frobenius_normal_form, invariant_factors)
+from gaedkit.frobenius import (FrobeniusForm, _byte_tables, _conductor,
+                               _times, frobenius_normal_form,
+                               invariant_factors)
 from gaedkit.gf2 import (BitMatrix, Reducer, block_diagonal, char_poly,
                          companion_matrix, invert, rank, solve_left, xor_rows)
 from gaedkit.gf2poly import (ONE, Gf2Poly, coprime_split, factor,
@@ -149,6 +150,31 @@ def test_frobenius_form_property(t):
 
 # -- the former deflation as the oracle -----------------------------------
 
+def oracle_apply_poly(tt_rows, f, v):
+    """f(t) @ v, power by power; tt_rows holds the columns of t."""
+    acc = 0
+    cur = v
+    bits = f.bits
+    while bits:
+        if bits & 1:
+            acc ^= cur
+        bits >>= 1
+        if bits:
+            cur = xor_rows(tt_rows, cur)
+    return acc
+
+
+def oracle_conductor(tt_rows, span, u):
+    """Minimal monic f with f(t) @ u inside the span, from the witness of
+    the first dependence of u's cyclic chain modulo the span."""
+    local = span.copy()
+    j = 0
+    while local.insert(u, 1 << j):
+        u = xor_rows(tt_rows, u)
+        j += 1
+    return Gf2Poly((1 << j) ^ local.reduce(u)[1])
+
+
 def quotient_dim_scan_oracle(t):
     """The deflation before invariant factors were known: each round scans
     unit vectors until fw spans the whole quotient (fw.degree ==
@@ -166,21 +192,21 @@ def quotient_dim_scan_oracle(t):
             e = 1 << i
             if span.reduce(e)[0] == 0:
                 continue
-            fi = _conductor(tt_rows, span, e)
+            fi = oracle_conductor(tt_rows, span, e)
             if poly_lcm(fw, fi) == fw:
                 continue
             if fw.is_one():
                 w, fw = e, fi
             else:
                 a, b = coprime_split(fw, fi)
-                w = (_apply_poly(tt_rows, fw // a, w)
-                     ^ _apply_poly(tt_rows, fi // b, e))
+                w = (oracle_apply_poly(tt_rows, fw // a, w)
+                     ^ oracle_apply_poly(tt_rows, fi // b, e))
                 fw = a * b
             if fw.degree == quotient_dim:
                 break
-        y = _apply_poly(tt_rows, fw, w)
+        y = oracle_apply_poly(tt_rows, fw, w)
         if chain_vectors:
-            images = BitMatrix([_apply_poly(tt_rows, fw, v)
+            images = BitMatrix([oracle_apply_poly(tt_rows, fw, v)
                                 for v in chain_vectors], n)
             combo = solve_left(images, y)
         else:
@@ -200,7 +226,8 @@ def quotient_dim_scan_oracle(t):
             pe = ONE
             for _ in range(e):
                 pe = pe * p
-            cur = _apply_poly(tt_rows, f // pe, u) if len(parts) > 1 else u
+            cur = (oracle_apply_poly(tt_rows, f // pe, u) if len(parts) > 1
+                   else u)
             for _ in range(pe.degree):
                 vectors.append(cur)
                 cur = xor_rows(tt_rows, cur)
@@ -299,11 +326,43 @@ def test_identity_rounds_stop_after_one_scan(monkeypatch):
     n = 12
     span_sizes = []
 
-    def counting_conductor(tt_rows, span, u):
+    def counting_conductor(tables, span, u):
         span_sizes.append(len(span))
-        return _conductor(tt_rows, span, u)
+        return _conductor(tables, span, u)
 
     monkeypatch.setattr(frobenius, "_conductor", counting_conductor)
     frobenius_normal_form(BitMatrix.identity(n))
     # per round: the one scan call that reaches x + 1, then the self-check
     assert Counter(span_sizes) == {r: 2 for r in range(n)}
+
+
+# -- byte tables and the ordering gate -------------------------------------
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 69])
+def test_byte_table_product_matches_xor_rows(n):
+    rng = np.random.default_rng(36 + n)
+    for t in (random_matrix(rng, n), BitMatrix.identity(n),
+              BitMatrix.from_numpy((rng.random((n, n)) < 2 / n)
+                                   .astype(np.uint8))):
+        tables = _byte_tables(t)
+        cols = tuple(t.transpose())
+        vs = [0, (1 << n) - 1] + list(BitMatrix.random(20, n, rng))
+        for v in vs:
+            assert _times(tables, v) == xor_rows(cols, v)
+
+
+@st.composite
+def dense_matrices(draw):
+    n = draw(st.integers(1, 16))
+    return BitMatrix(draw(st.lists(st.integers(0, (1 << n) - 1),
+                                   min_size=n, max_size=n)), n)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(t=st.one_of(dense_matrices(), sparse_matrices(),
+                   derogatory_matrices()))
+def test_invariant_factor_sizes_are_the_block_sizes(t):
+    # construct_code_with_automorphism orders these sizes before deflating
+    sizes = tuple(p.degree * e for parts in invariant_factors(t)
+                  for p, e in parts)
+    assert sizes == frobenius_normal_form(t).block_sizes

@@ -27,6 +27,27 @@ def test_dense_roundtrip(tmp_path):
         assert read_dense(p) == m
 
 
+def per_bit_dense_text(m):
+    """The dense writer's text, built one bit at a time."""
+    lines = [f"{m.rows} {m.cols}"]
+    for r in m:
+        lines.append("".join("1" if (r >> j) & 1 else "0"
+                             for j in range(m.cols)))
+    return "\n".join(lines) + "\n"
+
+
+def test_dense_writer_matches_per_bit_oracle(tmp_path):
+    rng = np.random.default_rng(42)
+    p = tmp_path / "d.txt"
+    for cols in range(1, 131):
+        m = random_matrix(rng, int(rng.integers(1, 6)), cols)
+        for case in (m, BitMatrix.zeros(2, cols),
+                     BitMatrix([(1 << cols) - 1], cols)):
+            write_dense(case, p)
+            assert p.read_bytes() == per_bit_dense_text(case).encode()
+            assert read_dense(p) == case
+
+
 def test_dense_golden_content(tmp_path):
     p = tmp_path / "h.txt"
     write_dense(HAMMING_74_H, p)
