@@ -32,11 +32,16 @@ class LlrVector:
         return self.values.shape[0]
 
 
-def check_llr_batch(llrs) -> None:
-    """Reject anything but a 2-D (frames, n) batch of LLRs."""
-    if np.ndim(llrs) != 2:
+def check_llr_batch(llrs) -> np.ndarray:
+    """The LLRs as a float64 (frames, n) array; any other shape raises.
+
+    Decoders work on what this returns, so integer or list input decodes
+    exactly as its float64 copy does."""
+    arr = np.asarray(llrs, dtype=np.float64)
+    if arr.ndim != 2:
         raise ValueError(f"llrs must be a (frames, n) array, got shape "
-                         f"{np.shape(llrs)}")
+                         f"{arr.shape}")
+    return arr
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:

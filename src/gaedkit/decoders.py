@@ -12,6 +12,7 @@ keep the most likely candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class PreprocessPlan:
 
     def apply(self, llrs: np.ndarray) -> np.ndarray:
         """Transform a (frames, n) LLR array; pure function of its input."""
-        check_llr_batch(llrs)
+        llrs = check_llr_batch(llrs)
         if llrs.shape[-1] != self.n:
             raise ValueError("LLR length does not match the matrix")
         out = np.empty_like(llrs)
@@ -81,6 +82,15 @@ class PreprocessPlan:
         return out
 
 
+def _check_integers(obj, *names: str) -> None:
+    """Each named field must be an int or a numpy integer; a float count
+    would otherwise fail mid-sweep inside numpy or `range`."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BpConfig:
     """Normalized min-sum settings; flooding is the only schedule."""
@@ -90,6 +100,7 @@ class BpConfig:
     early_stop: bool = True
 
     def __post_init__(self) -> None:
+        _check_integers(self, "iterations")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not 0.0 < self.normalization <= 1.0:
@@ -158,13 +169,27 @@ class TannerGraph:
         return self.check_vars.shape[0]
 
 
+def _live_cap(slots: int) -> int:
+    """Most frames BP keeps in flight on a graph of `slots` message slots.
+
+    Each (checks, width, frames) message array then holds about 16k values;
+    the floor keeps a 64-frame batch of a long code in one pass."""
+    return max(64, (1 << 14) // slots)
+
+
 def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flooding normalized min-sum over the edges of a Tanner graph.
 
     Returns (hard_bits, is_codeword, iterations_used) arrays over the batch.
-    Converged frames drop out of the working set when early_stop is on;
-    otherwise every frame runs all iterations and reports its final state.
+    A frame leaves once it is a codeword when early_stop is on, and after
+    cfg.iterations in any case, reporting its final state.
+
+    At most `_live_cap` frames are in flight. Frames enter in input order
+    as live ones leave, each with its own iteration count, so a batch pays
+    for its slowest frames' last iterations once, not once per cap-sized
+    part. Every step is elementwise per frame or reduces within a frame,
+    so a frame decodes bit for bit alike in any batch.
 
     Messages live on the graph's (checks, width) slot grid with frames on
     the last axis, so each step costs the number of slots, not checks * n.
@@ -172,31 +197,47 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     ascending check order: bit for bit the sequential sum over all checks
     of a dense (checks, n) layout that holds zeros off the edges.
     """
-    check_llr_batch(llrs)
+    llrs = check_llr_batch(llrs)
     n_frames, n = llrs.shape
     if n != graph.n:
         raise ValueError("LLR length does not match the graph")
     out_hard = np.empty((n_frames, n), dtype=np.uint8)
-    out_valid = np.zeros(n_frames, dtype=bool)
-    out_iters = np.full(n_frames, cfg.iterations, dtype=np.int64)
-    if n_frames == 0:
-        return out_hard, out_valid, out_iters
+    out_valid = np.empty(n_frames, dtype=bool)
+    out_iters = np.empty(n_frames, dtype=np.int64)
     # a NaN would decode as a valid all-zero word; big finite values saturate
     if not np.isfinite(llrs).all():
         raise ValueError("llrs contain NaN or infinity")
     check_vars, var_slots = graph.check_vars, graph.var_slots
     checks, width = check_vars.shape
     slots = checks * width
-    idx = np.arange(n_frames)
-    # Row n is the phantom variable that padding slots read. Its LLR is
-    # +inf, so its messages are positive and its hard decision is 0. Its
-    # magnitude (+inf, then +LLR_CLAMP once clipped) is never below a real
-    # message's, so it changes only the empty "other" set of a degree-1
-    # check, whose message saturates at LLR_CLAMP either way.
-    chan = np.concatenate((llrs.T, np.full((1, n_frames), np.inf)))
-    v_msg = chan[check_vars]
-    for it in range(1, cfg.iterations + 1):
-        frames = chan.shape[1]
+    cap = _live_cap(slots)
+    # the live set: input rows, iterations run, channel columns and the
+    # variable-to-check messages of the next step
+    idx = np.empty(0, dtype=np.intp)
+    its = np.empty(0, dtype=np.int64)
+    chan = np.empty((n + 1, 0))
+    v_msg = np.empty((checks, width, 0))
+    admitted = 0
+    while True:
+        take = min(cap - idx.size, n_frames - admitted)
+        if take > 0:
+            # Row n is the phantom variable that padding slots read. Its
+            # LLR is +inf, so its messages are positive and its hard
+            # decision is 0. Its magnitude (+inf, then +LLR_CLAMP once
+            # clipped) is never below a real message's, so it changes only
+            # the empty "other" set of a degree-1 check, whose message
+            # saturates at LLR_CLAMP either way.
+            new = np.concatenate((llrs[admitted:admitted + take].T,
+                                  np.full((1, take), np.inf)))
+            idx = np.concatenate((idx, np.arange(admitted, admitted + take)))
+            its = np.concatenate((its, np.zeros(take, dtype=np.int64)))
+            chan = np.concatenate((chan, new), axis=1)
+            v_msg = np.concatenate((v_msg, new[check_vars]), axis=2)
+            admitted += take
+        if not idx.size:
+            break
+        its += 1
+        frames = idx.size
         mags = np.abs(v_msg)
         min1 = mags.min(axis=1)
         at_min = mags == min1[:, None]
@@ -224,19 +265,16 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
         total = chan + acc
         hard = total < 0.0
         valid = ~np.logical_xor.reduce(hard[check_vars], axis=1).any(axis=0)
-        if it == cfg.iterations:
-            out_hard[idx] = hard[:n].T
-            out_valid[idx] = valid
-            break
-        if cfg.early_stop and valid.any():
-            done_idx = idx[valid]
-            out_hard[done_idx] = hard[:n, valid].T
-            out_valid[done_idx] = True
-            out_iters[done_idx] = it
-            live = ~valid
-            if not live.any():
-                break
-            idx, chan = idx[live], chan[:, live]
+        done = its == cfg.iterations
+        if cfg.early_stop:
+            done |= valid
+        if done.any():
+            gone = idx[done]
+            out_hard[gone] = hard[:n, done].T
+            out_valid[gone] = valid[done]
+            out_iters[gone] = its[done]
+            live = ~done
+            idx, its, chan = idx[live], its[live], chan[:, live]
             total, c_msg = total[:, live], c_msg[:, :, live]
         v_msg = total[check_vars]
         v_msg -= c_msg
@@ -245,7 +283,11 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
 
 
 def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
-    return ((1.0 - 2.0 * hard.astype(np.float64)) * llrs).sum(axis=-1)
+    # (1 - 2h) * x is exactly x or -x, so negating a copy in place is bit
+    # for bit the same sum without two (frames, n) float temporaries
+    signed = llrs.copy()
+    np.negative(signed, where=hard.astype(bool), out=signed)
+    return signed.sum(axis=-1)
 
 
 class GaedEnsemble:
@@ -277,7 +319,7 @@ class GaedEnsemble:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
-        check_llr_batch(llrs)
+        llrs = check_llr_batch(llrs)
         # box-plus would turn an infinity finite before BP could see it
         if not np.isfinite(llrs).all():
             raise ValueError("llrs contain NaN or infinity")
@@ -350,7 +392,7 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood decisions for a (frames, n) batch."""
-    check_llr_batch(llrs)
+    llrs = check_llr_batch(llrs)
     if llrs.shape[-1] != code.n:
         raise ValueError(f"llrs length {llrs.shape[-1]} does not match the "
                          f"code length {code.n}")

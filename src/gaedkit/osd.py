@@ -111,10 +111,9 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     is skipped. Work runs in blocks of at most `_OSD_CELL_BUDGET`
     candidate bits, which bounds memory for any k and order.
     """
-    llrs = np.asarray(llrs, dtype=np.float64)
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    check_llr_batch(llrs)
+    llrs = check_llr_batch(llrs)
     if llrs.shape[1] != code.n:
         raise ValueError(f"llrs length {llrs.shape[1]} does not match the "
                          f"code length {code.n}")

@@ -8,9 +8,12 @@ follows from an identical (config, seed) pair.
 
 The decoder is built once per sweep, in the calling process, from the
 caller's code, automorphism and pool, and that built runtime is the task:
-`runtime(task)` decodes one chunk. Each round maps it over its chunks, with
-the builtin `map` for one worker and a process pool's `map` otherwise, so
-every pool task carries the pickled runtime and no worker rebuilds it.
+`runtime(task)` decodes one group of chunks. Each round splits its chunks
+into one contiguous group per worker and maps the runtime over the groups,
+with the builtin `map` for one worker and a process pool's `map` otherwise,
+so every pool task carries the pickled runtime and no worker rebuilds it.
+With one worker a round is one group, so BP's slowest frames cost their
+last iterations once per round, not once per chunk.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import DualWordPool, LinearCode, low_weight_dual_search
-from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
-                       power_ensemble, stack_redundant_pcm)
+from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_integers,
+                       bp_min_sum_batch, power_ensemble, stack_redundant_pcm)
 from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
@@ -36,6 +40,9 @@ CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
 # chunks per scheduling round and the frames in each chunk of round r;
 # fixed constants so counts never depend on the worker count
 _CHUNKS_PER_ROUND = 8
+# sizes each chunk's draws and the decode slices, in frames * checks * n:
+# 4096 frames of a (32, 16) code. The draw size sets the RNG draw order of
+# random-codeword sweeps, so counts depend on this value.
 _DECODE_CELL_BUDGET = 1 << 21
 _POOL_SEED = 0
 
@@ -71,12 +78,15 @@ class DecoderSpec:
                              f"be one of {', '.join(_KINDS)}")
         # BpConfig owns the rule for the BP settings
         BpConfig(self.iterations, self.normalization, self.early_stop)
+        _check_integers(self, "ell", "osd_order")
         if self.ell < 1:
             raise ValueError("ell must be at least 1")
         if self.osd_order < 0:
             raise ValueError("osd_order must be non-negative")
         if not self.powers:
             raise ValueError("powers must be non-empty")
+        if not all(isinstance(p, Integral) for p in self.powers):
+            raise ValueError(f"powers must be integers, got {self.powers!r}")
 
     @property
     def label(self) -> str:
@@ -102,6 +112,8 @@ class SweepConfig:
             raise ValueError("Eb/N0 points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("Eb/N0 points must be strictly increasing")
+        _check_integers(self, "min_frame_errors", "max_frames", "seed",
+                        "workers")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be at least 1")
         if self.max_frames < 1:
@@ -127,7 +139,8 @@ class FerRecord:
 
 
 class _Runtime:
-    """A sweep's decoder, built once; calling it on a task runs one chunk.
+    """A sweep's decoder, built once; calling it on a task decodes a group
+    of chunks.
 
     `decode(llrs)` is a picklable batch decoder whose first output is the
     (frames, n) hard decisions, so workers need nothing rebuilt.
@@ -157,36 +170,50 @@ class _Runtime:
                 h = stack_redundant_pcm(code, pool, spec.ell)
             self.decode = partial(bp_min_sum_batch, TannerGraph.from_pcm(h),
                                   cfg=cfg)
-        # batch boundaries set the RNG draw order of random-codeword sweeps,
-        # so the batch stays sized by dense checks * n cells
+        # frames per draw and per decode slice
         self.batch_frames = max(
             32, _DECODE_CELL_BUDGET // max(1, h.rows * code.n))
 
     def __call__(self, task) -> tuple[int, int, int]:
-        seed, random_codewords, point_idx, chunk_idx, ebn0_db, frames = task
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(seed, point_idx, chunk_idx)))
-        return self.run_chunk(ebn0_db, frames, rng, random_codewords)
-
-    def run_chunk(self, ebn0_db: float, frames: int,
-                  rng: np.random.Generator,
-                  random_codewords: bool) -> tuple[int, int, int]:
-        rate = self.code.rate
+        """Decode one group of chunks: (frames, frame_errors, bit_errors)."""
         frame_errors = bit_errors = 0
-        left = frames
-        while left > 0:
-            b = min(self.batch_frames, left)
-            if random_codewords:
-                sent = self.code.encode(rng.integers(
-                    0, 2, size=(b, self.code.k), dtype=np.uint8))
-            else:
-                sent = np.zeros((b, self.code.n), dtype=np.uint8)
-            llrs = awgn_llr_batch(sent, ebn0_db, rate, rng)
+        for sent, llrs in self._slices(task):
             diff = self.decode(llrs)[0] != sent
             frame_errors += int(diff.any(axis=1).sum())
             bit_errors += int(diff.sum())
-            left -= b
-        return frames, frame_errors, bit_errors
+        return sum(frames for _, frames in task[-1]), frame_errors, bit_errors
+
+    def _slices(self, task):
+        """Yield a group's (sent, llrs) in decode slices of at most
+        batch_frames frames, refilling the same two buffers in place.
+
+        Each chunk draws from its own stream, keyed by (seed, point index,
+        chunk index), batch_frames frames at a time, exactly as it would
+        alone; a slice is yielded when the next draw would not fit."""
+        seed, random_codewords, point_idx, ebn0_db, chunks = task
+        n = self.code.n
+        size = min(self.batch_frames, sum(frames for _, frames in chunks))
+        sent = np.empty((size, n), dtype=np.uint8)
+        llrs = np.empty((size, n))
+        fill = 0
+        for chunk_idx, frames in chunks:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=(seed, point_idx, chunk_idx)))
+            for left in range(frames, 0, -self.batch_frames):
+                b = min(self.batch_frames, left)
+                if fill + b > size:
+                    yield sent[:fill], llrs[:fill]
+                    fill = 0
+                part = slice(fill, fill + b)
+                if random_codewords:
+                    sent[part] = self.code.encode(rng.integers(
+                        0, 2, size=(b, self.code.k), dtype=np.uint8))
+                else:
+                    sent[part] = 0
+                llrs[part] = awgn_llr_batch(sent[part], ebn0_db,
+                                            self.code.rate, rng)
+                fill += b
+        yield sent[:fill], llrs[:fill]
 
 
 def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
@@ -220,9 +247,13 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
                         break
                     sizes.append(s)
                     budget -= s
-                tasks = [(cfg.seed, cfg.random_codewords, point_idx,
-                          chunk_idx + i, ebn0, s)
-                         for i, s in enumerate(sizes)]
+                chunks = [(chunk_idx + i, s) for i, s in enumerate(sizes)]
+                # one group per worker; each group is one task
+                groups = min(cfg.workers, len(chunks))
+                tasks = [(cfg.seed, cfg.random_codewords, point_idx, ebn0,
+                          chunks[g * len(chunks) // groups:
+                                 (g + 1) * len(chunks) // groups])
+                         for g in range(groups)]
                 chunk_idx += len(sizes)
                 round_idx += 1
                 for f, e, b in run(runtime, tasks):

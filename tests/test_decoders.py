@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from gaedkit import osd
+from gaedkit import decoders, osd
 from gaedkit.automorphisms import (GeneralizedAutomorphism,
                                    construct_code_with_automorphism)
 from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch
@@ -269,6 +269,45 @@ def test_edge_kernel_matches_dense_oracle():
             assert np.array_equal(g, w), (trial, name)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+def test_refilled_live_set_matches_dense_oracle(monkeypatch, cap):
+    # batches up to 3 * cap + 5 frames refill the live set many times, with
+    # frames of different iteration counts in flight together
+    monkeypatch.setattr(decoders, "_live_cap", lambda slots: cap)
+    rng = np.random.default_rng(93 + cap)
+    for early_stop in (True, False):
+        for iterations in (1, 2, 12):
+            cfg = BpConfig(iterations=iterations, early_stop=early_stop)
+            for frames in (0, 1, cap, cap + 1, 3 * cap + 5):
+                mask = adversarial_mask(rng)
+                llrs = adversarial_llrs(rng, frames, mask.shape[1], LLR_CLAMP)
+                graph = TannerGraph.from_pcm(
+                    BitMatrix.from_numpy(mask.astype(np.uint8)))
+                got = bp_min_sum_batch(graph, llrs, cfg)
+                want = dense_min_sum_batch(mask, llrs, cfg)
+                for name, g, w in zip(("hard", "valid", "iters"), got, want):
+                    assert np.array_equal(g, w), (early_stop, iterations,
+                                                  frames, name)
+
+
+def test_bp_memory_is_bounded_by_the_live_set():
+    code = construct_code_with_automorphism(32, 16, 10, seed=6).code
+    graph = TannerGraph.from_pcm(code.h)
+    cap = decoders._live_cap(graph.check_vars.size)
+    cfg = BpConfig(iterations=10)
+    llrs = awgn_llr_batch(np.zeros((16 * cap, code.n), dtype=np.uint8), 2.0,
+                          code.rate, np.random.default_rng(94))
+    peaks = []
+    for frames in (cap, 16 * cap):
+        tracemalloc.start()
+        try:
+            bp_min_sum_batch(graph, llrs[:frames], cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_tanner_graph_layout():
     h = BitMatrix.from_rows([[0, 1, 0, 1, 1],
                              [1, 0, 0, 0, 0],
@@ -352,6 +391,10 @@ def test_bp_early_stop_off_runs_all_iterations():
 def test_bp_config_validation():
     with pytest.raises(ValueError, match="iterations"):
         BpConfig(iterations=0)
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            BpConfig(iterations=bad)
+    assert BpConfig(iterations=np.int64(3)).iterations == 3
     with pytest.raises(ValueError, match="normalization"):
         BpConfig(iterations=1, normalization=0.0)
     with pytest.raises(ValueError, match="normalization"):
@@ -845,6 +888,23 @@ def test_osd_batch_bounds_memory_at_large_k():
     assert np.all(corr >= osd_decode_batch(code, llrs, 0)[1])
 
 
+def test_osd_batch_is_independent_of_how_frames_are_batched():
+    # k = 16 at order 3 scores 14 frames a block: the parts below and
+    # their concatenation put frames in different blocks
+    code = construct_code_with_automorphism(32, 16, 10, seed=6).code
+    rng = np.random.default_rng(96)
+    sizes = (1, 5, 14, 23, 9)
+    llrs = awgn_llr_batch(np.zeros((sum(sizes), code.n), dtype=np.uint8),
+                          2.0, code.rate, rng)
+    hard, corr = osd_decode_batch(code, llrs, 3)
+    lo = 0
+    for size in sizes:
+        part_hard, part_corr = osd_decode_batch(code, llrs[lo:lo + size], 3)
+        assert np.array_equal(part_hard, hard[lo:lo + size])
+        assert np.array_equal(part_corr, corr[lo:lo + size])
+        lo += size
+
+
 def test_osd_batch_empty_and_single_row_agree_with_osd_decode():
     code = LinearCode.from_pcm(HAMMING_74_H)
     hard, corr = osd_decode_batch(code, np.zeros((0, 7)), 2)
@@ -920,6 +980,29 @@ def test_ml_decode_batch_rejects_wrong_length():
     for llrs in (np.ones((2, 6)), np.ones((0, 8))):
         with pytest.raises(ValueError, match="llrs length"):
             ml_decode_batch(code, llrs)
+
+
+def test_integer_and_list_llrs_decode_as_float64():
+    # integer LLRs once truncated every box-plus output, and lists raised
+    # AttributeError in all but OSD
+    res = construct_code_with_automorphism(16, 8, 0, seed=0)
+    code = res.code
+    ints = np.random.default_rng(95).integers(-4, 5, size=(40, code.n))
+    cfg = BpConfig(iterations=5)
+    calls = [
+        lambda x: bp_min_sum_batch(TannerGraph.from_pcm(code.h), x, cfg),
+        lambda x: (PreprocessPlan(res.aut.matrix).apply(x),),
+        lambda x: GaedEnsemble(code, power_ensemble(res.aut)).decode_batch(
+            x, cfg),
+        lambda x: (ml_decode_batch(code, x),),
+        lambda x: osd_decode_batch(code, x, 2),
+    ]
+    for call in calls:
+        want = call(ints.astype(np.float64))
+        for llrs in (ints, ints.tolist()):
+            got = call(llrs)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_single_frame_llrs_are_rejected_by_name():

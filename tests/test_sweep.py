@@ -59,6 +59,17 @@ def test_decoder_spec_validation():
         DecoderSpec("osd", osd_order=-1)
     with pytest.raises(ValueError, match="powers"):
         DecoderSpec("gaed", powers=())
+    # counts must be integers; numpy integers are integers
+    for field in ("iterations", "ell", "osd_order"):
+        for bad in (1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                DecoderSpec("bp", **{field: bad})
+        assert getattr(DecoderSpec("bp", **{field: np.int64(2)}), field) == 2
+    for bad in ((0.5,), (0, 1.0)):
+        with pytest.raises(ValueError, match="powers must be integers"):
+            DecoderSpec("gaed", powers=bad)
+    assert DecoderSpec("gaed", powers=(np.int64(0), 1)).label == \
+        "GAED-2-BP-20"
 
 
 def test_sweep_config_validation():
@@ -80,6 +91,12 @@ def test_sweep_config_validation():
         SweepConfig(ebn0_db=(1.0,), seed=-1)
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(ebn0_db=(1.0,), workers=0)
+    for field in ("min_frame_errors", "max_frames", "seed", "workers"):
+        for bad in (1.5, 100.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SweepConfig(ebn0_db=(1.0,), **{field: bad})
+        cfg = SweepConfig(ebn0_db=(1.0,), **{field: np.int32(2)})
+        assert getattr(cfg, field) == 2
 
 
 def test_csv_format():
@@ -137,23 +154,23 @@ def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
     assert (a[0].frames, a[0].frame_errors, a[0].bit_errors) == \
         (b[0].frames, b[0].frame_errors, b[0].bit_errors)
     # workers may receive the built decoder pickled; a round trip must
-    # decode the same frames to the same counts
+    # decode the same one-chunk group to the same counts
     runtime = _Runtime(res.code, spec, res.aut, None)
     restored = pickle.loads(pickle.dumps(runtime))
-    assert runtime.run_chunk(2.0, 300, np.random.default_rng(9),
-                             random_codewords) == \
-        restored.run_chunk(2.0, 300, np.random.default_rng(9),
-                           random_codewords)
+    task = (9, random_codewords, 0, 2.0, [(0, 300)])
+    assert runtime(task) == restored(task)
 
 
-def test_process_pool_is_capped_at_one_rounds_chunks(monkeypatch):
-    # a forking pool starts all max_workers processes at the first submit,
-    # so the pool is faked here and no process is ever started
-    sizes = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Run pool tasks in process and log each pool's max_workers and the
+    chunk count of every task it maps. A forking pool starts all
+    max_workers processes at the first submit, so no process is started."""
+    log = {"max_workers": [], "groups": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log["max_workers"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -162,16 +179,55 @@ def test_process_pool_is_capped_at_one_rounds_chunks(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            log["groups"].append([len(task[-1]) for task in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
+@pytest.mark.parametrize("random_codewords", [False, True])
+@pytest.mark.parametrize("kind", ["bp", "gaed", "rr", "osd"])
+def test_one_group_counts_equal_the_sum_of_its_chunks(kind, random_codewords):
+    res = construct_code_with_automorphism(16, 8, 4, seed=0)
+    runtime = _Runtime(res.code, DecoderSpec(kind, iterations=5, ell=2,
+                                             osd_order=2), res.aut, None)
+    # the default slice holds the whole round; 100 frames makes several
+    # draws a chunk and slices that end inside a round
+    for batch_frames, sizes in ((runtime.batch_frames, [256] * 8),
+                                (100, [256, 100, 37, 300, 1, 99, 200, 64])):
+        runtime.batch_frames = batch_frames
+        chunks = [(5 + i, s) for i, s in enumerate(sizes)]
+        whole = runtime((3, random_codewords, 1, 1.5, chunks))
+        parts = [runtime((3, random_codewords, 1, 1.5, [c])) for c in chunks]
+        assert whole == tuple(map(sum, zip(*parts)))
+        assert whole[0] == sum(sizes) and whole[1] > 0
+
+
+@pytest.mark.parametrize("random_codewords", [False, True])
+@pytest.mark.parametrize("kind", ["bp", "gaed", "rr", "osd"])
+def test_uneven_groups_give_the_counts_of_one_worker(fake_pool, kind,
+                                                     random_codewords):
+    res = construct_code_with_automorphism(16, 8, 4, seed=0)
+    spec = DecoderSpec(kind, iterations=5, ell=2, osd_order=2)
+    cfgs = [small_sweep_cfg(min_frame_errors=60, max_frames=3000,
+                            workers=workers, random_codewords=random_codewords)
+            for workers in (1, 3)]
+    one, three = (run_sweep(res.code, spec, cfg, aut=res.aut,
+                            timer=fake_timer()) for cfg in cfgs)
+    assert one == three
+    assert fake_pool["groups"][0] == [2, 3, 3]
+
+
+def test_process_pool_is_capped_at_one_rounds_chunks(fake_pool):
     code = LinearCode.from_pcm(HAMMING_74_H)
     spec = DecoderSpec("bp", iterations=5)
     serial = run_sweep(code, spec, small_sweep_cfg(), timer=fake_timer())
     for workers in (2, _CHUNKS_PER_ROUND, 5000):
         assert run_sweep(code, spec, small_sweep_cfg(workers=workers),
                          timer=fake_timer()) == serial
-    assert sizes == [2, _CHUNKS_PER_ROUND, _CHUNKS_PER_ROUND]
+    assert fake_pool["max_workers"] == [2, _CHUNKS_PER_ROUND,
+                                        _CHUNKS_PER_ROUND]
 
 
 def test_sweep_stops_exactly_at_max_frames_when_error_free():
