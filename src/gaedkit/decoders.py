@@ -82,12 +82,17 @@ class PreprocessPlan:
         return out
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer. A float count would fail mid-sweep inside
+    numpy or `range`; a bool is an Integral, but True is no count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_integers(obj, *names: str) -> None:
-    """Each named field must be an int or a numpy integer; a float count
-    would otherwise fail mid-sweep inside numpy or `range`."""
+    """Each named field must pass `_is_integer`."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, Integral):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -210,7 +215,6 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     check_vars, var_slots = graph.check_vars, graph.var_slots
     checks, width = check_vars.shape
     slots = checks * width
-    cap = _live_cap(slots)
     # the live set: input rows, iterations run, channel columns and the
     # variable-to-check messages of the next step
     idx = np.empty(0, dtype=np.intp)
@@ -219,7 +223,7 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     v_msg = np.empty((checks, width, 0))
     admitted = 0
     while True:
-        take = min(cap - idx.size, n_frames - admitted)
+        take = min(_live_cap(slots) - idx.size, n_frames - admitted)
         if take > 0:
             # Row n is the phantom variable that padding slots read. Its
             # LLR is +inf, so its messages are positive and its hard
@@ -237,37 +241,38 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
         if not idx.size:
             break
         its += 1
-        frames = idx.size
         mags = np.abs(v_msg)
         min1 = mags.min(axis=1)
         at_min = mags == min1[:, None]
         # the minimum over the other slots is min2 on a slot holding min1
-        # and min1 elsewhere; on a tie for min1, min2 equals min1
+        # and min1 elsewhere; on a tie for min1, min2 equals min1. Raising
+        # min1's slots to at least LLR_CLAMP moves min2 only above the clamp.
         ties = at_min.sum(axis=1) > 1
-        min2 = np.where(ties, min1, np.where(at_min, np.inf, mags).min(axis=1))
-        neg = np.signbit(v_msg)
-        # the product of the other signs is negative where a slot's own sign
-        # differs from the parity of the check's negative messages
-        flip = neg ^ np.logical_xor.reduce(neg, axis=1)[:, None]
-        # row `slots` of the flat grid is the zero that padded variable
-        # slots read
-        c_flat = np.empty((slots + 1, frames))
+        np.maximum(mags, at_min * LLR_CLAMP, out=mags)
+        min2 = np.where(ties, min1, mags.min(axis=1))
+        # clamp and normalize per check: the selection below only copies
+        min1 = np.minimum(min1, LLR_CLAMP) * cfg.normalization
+        min2 = np.minimum(min2, LLR_CLAMP) * cfg.normalization
+        # row `slots` is the zero that padded variable slots read
+        c_flat = np.empty((slots + 1, idx.size))
         c_flat[slots] = 0.0
-        c_msg = c_flat[:slots].reshape(checks, width, frames)
-        np.minimum(np.where(at_min, min2[:, None], min1[:, None]), LLR_CLAMP,
-                   out=c_msg)
-        # negation is exact: bit for bit (normalization * sign) * magnitude
-        c_msg *= cfg.normalization
-        np.negative(c_msg, where=flip, out=c_msg)
-        acc = np.zeros_like(chan)
+        c_msg = c_flat[:slots].reshape(checks, width, -1)
+        # at_min * min2 is min2 or +0.0, so the maximum selects exactly. The
+        # product of the other signs is the slot's own sign bit (copysign
+        # reads it as np.signbit does, -0.0 included), negated exactly by
+        # -1.0 on a check with an odd number of negative messages.
+        np.copysign(np.maximum(min1[:, None], at_min * min2[:, None]), v_msg,
+                    out=c_msg)
+        parity = np.logical_xor.reduce(np.signbit(v_msg), axis=1)
+        c_msg *= np.where(parity, -1.0, 1.0)[:, None]
+        acc = np.zeros((n, idx.size))
         for col in var_slots.T:
-            acc[:n] += c_flat[col]
-        total = chan + acc
+            acc += c_flat[col]
+        total = chan.copy()
+        total[:n] += acc
         hard = total < 0.0
         valid = ~np.logical_xor.reduce(hard[check_vars], axis=1).any(axis=0)
-        done = its == cfg.iterations
-        if cfg.early_stop:
-            done |= valid
+        done = (its == cfg.iterations) | (valid & cfg.early_stop)
         if done.any():
             gone = idx[done]
             out_hard[gone] = hard[:n, done].T
@@ -278,7 +283,8 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
             total, c_msg = total[:, live], c_msg[:, :, live]
         v_msg = total[check_vars]
         v_msg -= c_msg
-        np.clip(v_msg, -LLR_CLAMP, LLR_CLAMP, out=v_msg)
+        np.minimum(v_msg, LLR_CLAMP, out=v_msg)  # np.clip, minus its wrapper
+        np.maximum(v_msg, -LLR_CLAMP, out=v_msg)
     return out_hard, out_valid, out_iters
 
 
@@ -312,8 +318,9 @@ class GaedEnsemble:
         self.code = code
         self.graph = TannerGraph.from_pcm(code.h)
         self.plans = [PreprocessPlan(a.matrix) for a in auts]
-        self.inv_maps = [np.ascontiguousarray(
-            a.inverse.to_numpy().astype(np.int32).T) for a in auts]
+        # mapped bit j XORs the hard bits in row j of the inverse's edge lists
+        self.inv_vars = [TannerGraph.from_pcm(a.inverse).check_vars
+                         for a in auts]
 
     def decode_batch(self, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -323,26 +330,24 @@ class GaedEnsemble:
         # box-plus would turn an infinity finite before BP could see it
         if not np.isfinite(llrs).all():
             raise ValueError("llrs contain NaN or infinity")
-        n_frames = llrs.shape[0]
-        paths = len(self.plans)
-        hards = np.empty((paths, n_frames, self.code.n), dtype=np.uint8)
-        valids = np.empty((paths, n_frames), dtype=bool)
-        iters = np.empty((paths, n_frames), dtype=np.int64)
-        corrs = np.empty((paths, n_frames), dtype=np.float64)
-        for p, (plan, inv_map) in enumerate(zip(self.plans, self.inv_maps)):
+        shape = (len(self.plans), llrs.shape[0])
+        hards = np.empty(shape + (self.code.n,), dtype=np.uint8)
+        valids = np.empty(shape, dtype=bool)
+        iters = np.empty(shape, dtype=np.int64)
+        corrs = np.empty(shape)
+        for p, (plan, inv_vars) in enumerate(zip(self.plans, self.inv_vars)):
             # every path matrix is an automorphism (checked in __init__),
             # so the mapped word is a codeword exactly when BP's word is
             hard, valids[p], iters[p] = bp_min_sum_batch(
                 self.graph, plan.apply(llrs), cfg)
-            mapped = ((hard.astype(np.int32) @ inv_map) & 1).astype(np.uint8)
-            hards[p] = mapped
-            corrs[p] = _correlation(mapped, llrs)
-        any_valid = valids.any(axis=0)
-        score = np.where(valids == any_valid[None, :], corrs, -np.inf)
-        sel = score.argmax(axis=0)
-        frame_ids = np.arange(n_frames)
-        return (hards[sel, frame_ids], valids[sel, frame_ids],
-                iters[sel, frame_ids], sel, corrs[sel, frame_ids])
+            # padding reads the zero column np.pad appends. No BLAS product:
+            # its threads can cost more than the whole map.
+            hards[p] = np.bitwise_xor.reduce(
+                np.pad(hard, ((0, 0), (0, 1)))[:, inv_vars], axis=2)
+            corrs[p] = _correlation(hards[p], llrs)
+        score = np.where(valids == valids.any(axis=0), corrs, -np.inf)
+        pick = score.argmax(axis=0), np.arange(shape[1])
+        return hards[pick], valids[pick], iters[pick], pick[0], corrs[pick]
 
 
 def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)

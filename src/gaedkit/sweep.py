@@ -24,7 +24,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, sqrt
-from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import DualWordPool, LinearCode, low_weight_dual_search
 from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_integers,
-                       bp_min_sum_batch, power_ensemble, stack_redundant_pcm)
+                       _is_integer, bp_min_sum_batch, power_ensemble,
+                       stack_redundant_pcm)
 from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
@@ -85,7 +85,7 @@ class DecoderSpec:
             raise ValueError("osd_order must be non-negative")
         if not self.powers:
             raise ValueError("powers must be non-empty")
-        if not all(isinstance(p, Integral) for p in self.powers):
+        if not all(map(_is_integer, self.powers)):
             raise ValueError(f"powers must be integers, got {self.powers!r}")
 
     @property

@@ -239,10 +239,14 @@ def adversarial_mask(rng) -> np.ndarray:
 
 def adversarial_llrs(rng, frames: int, n: int, clamp: float) -> np.ndarray:
     """LLRs with exact +-0.0, +-clamp, values beyond the clamp and
-    repeated magnitudes, so signed zeros and argmin ties occur."""
-    kind = int(rng.integers(3))
+    repeated magnitudes, so signed zeros and argmin ties occur; in kind 3
+    every magnitude is beyond the clamp, so whole checks start there."""
+    kind = int(rng.integers(4))
     if kind == 0:
         return rng.uniform(-8.0, 8.0, size=(frames, n))
+    if kind == 3:
+        signs = np.where(rng.random((frames, n)) < 0.5, -1.0, 1.0)
+        return signs * rng.uniform(clamp, 4.0 * clamp, size=(frames, n))
     if kind == 1:
         pool = np.array([0.0, -0.0, clamp, -clamp, 1.5, -1.5, 0.5, -0.5,
                          clamp + 3.0, -clamp - 3.0])
@@ -391,7 +395,7 @@ def test_bp_early_stop_off_runs_all_iterations():
 def test_bp_config_validation():
     with pytest.raises(ValueError, match="iterations"):
         BpConfig(iterations=0)
-    for bad in (2.5, 2.0, "3"):
+    for bad in (2.5, 2.0, "3", True, False):
         with pytest.raises(ValueError, match="iterations must be an integer"):
             BpConfig(iterations=bad)
     assert BpConfig(iterations=np.int64(3)).iterations == 3
@@ -548,6 +552,27 @@ def test_power_ensemble_members():
     assert len(seven) == 7
     assert seven[0].matrix == aut.inverse @ aut.inverse @ aut.inverse
     assert seven[6].matrix == aut.matrix @ aut.matrix @ aut.matrix
+
+
+@pytest.mark.parametrize("n,k,delta,seed", [(32, 16, 10, 6), (64, 48, 16, 0),
+                                            (39, 24, 0, 17)])
+def test_inverse_maps_match_per_frame_products(monkeypatch, n, k, delta, seed):
+    # BP is stubbed to return chosen words, so decode_batch's output is its
+    # mapping of them through the one path's inverse
+    res = construct_code_with_automorphism(n, k, delta, seed=seed)
+    n = res.code.n                  # construction may drop zero columns
+    rng = np.random.default_rng(seed)
+    words = np.vstack((np.zeros(n), np.ones(n),
+                       rng.integers(0, 2, size=(40, n)))).astype(np.uint8)
+    stub = (words, np.ones(len(words), dtype=bool), np.ones(len(words), int))
+    monkeypatch.setattr(decoders, "bp_min_sum_batch", lambda *args: stub)
+    llrs = np.ones((len(words), n))
+    for a in power_ensemble(res.aut):
+        got = GaedEnsemble(res.code, [a]).decode_batch(
+            llrs, BpConfig(iterations=1))[0]
+        for word, mapped in zip(words, got):
+            v = a.inverse.mat_vec(sum(int(b) << i for i, b in enumerate(word)))
+            assert mapped.tolist() == [(v >> i) & 1 for i in range(n)]
 
 
 def test_gaed_decode_single_frame():

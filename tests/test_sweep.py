@@ -61,11 +61,11 @@ def test_decoder_spec_validation():
         DecoderSpec("gaed", powers=())
     # counts must be integers; numpy integers are integers
     for field in ("iterations", "ell", "osd_order"):
-        for bad in (1.5, 2.0, "3"):
+        for bad in (1.5, 2.0, "3", True, False):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 DecoderSpec("bp", **{field: bad})
         assert getattr(DecoderSpec("bp", **{field: np.int64(2)}), field) == 2
-    for bad in ((0.5,), (0, 1.0)):
+    for bad in ((0.5,), (0, 1.0), (True, False), (0, True)):
         with pytest.raises(ValueError, match="powers must be integers"):
             DecoderSpec("gaed", powers=bad)
     assert DecoderSpec("gaed", powers=(np.int64(0), 1)).label == \
@@ -92,7 +92,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(ebn0_db=(1.0,), workers=0)
     for field in ("min_frame_errors", "max_frames", "seed", "workers"):
-        for bad in (1.5, 100.5, 2.0, "3"):
+        for bad in (1.5, 100.5, 2.0, "3", True, False):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 SweepConfig(ebn0_db=(1.0,), **{field: bad})
         cfg = SweepConfig(ebn0_db=(1.0,), **{field: np.int32(2)})
