@@ -13,7 +13,7 @@ LLR_CLAMP = 25.0
 
 @dataclass(frozen=True)
 class LlrVector:
-    """Immutable vector of finite LLRs with |value| at most LLR_CLAMP."""
+    """Immutable one-frame vector of LLRs that pass `check_llr_batch`."""
 
     values: np.ndarray
 
@@ -21,10 +21,7 @@ class LlrVector:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("LLR vector contains NaN or infinity")
-        if np.any(np.abs(v) > LLR_CLAMP):
-            raise ValueError(f"LLR magnitude exceeds the clamp {LLR_CLAMP}")
+        check_llr_batch(v[None, :], v.shape[0])
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -32,15 +29,29 @@ class LlrVector:
         return self.values.shape[0]
 
 
-def check_llr_batch(llrs) -> np.ndarray:
-    """The LLRs as a float64 (frames, n) array; any other shape raises.
+def check_llr_batch(llrs, n: int) -> np.ndarray:
+    """The LLRs as a float64 (frames, n) array, or a ValueError naming llrs.
 
-    Decoders work on what this returns, so integer or list input decodes
-    exactly as its float64 copy does."""
+    The one input rule of every decoder: two dimensions, n values a frame,
+    each finite and at most LLR_CLAMP in magnitude. Decoders work on what
+    this returns, so integer or list input decodes exactly as its float64
+    copy does."""
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"llrs must be a (frames, n) array, got shape "
                          f"{arr.shape}")
+    if arr.shape[1] != n:
+        raise ValueError(f"llrs length {arr.shape[1]} does not match the "
+                         f"code length {n}")
+    # two reductions and no (frames, n) temporary. NaN fails every
+    # comparison, so it falls out here with the infinities; `initial` lets
+    # a batch of no frames through.
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not -LLR_CLAMP <= lo <= hi <= LLR_CLAMP:
+        if not np.isfinite(arr).all():
+            raise ValueError("llrs contain NaN or infinity")
+        raise ValueError(f"llrs hold a magnitude that exceeds the clamp "
+                         f"{LLR_CLAMP}")
     return arr
 
 

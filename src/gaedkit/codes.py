@@ -19,6 +19,8 @@ from .gf2 import (BitMatrix, independent_rows, ints_to_words, null_space_basis,
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
 _PCM_TRIALS = 32  # optimize_pcm's tie-break orders; its output depends on it
+_MAX_PRIMAL = 26  # min_distance enumerates 2^k codewords up to this k
+_MAX_DUAL = 24    # and otherwise 2^(n-k) dual words up to this n - k
 
 
 class ReductionError(ValueError):
@@ -132,14 +134,14 @@ def weight_distribution(rows: list[int], n: int) -> list[int]:
     return counts.tolist()
 
 
-def min_distance(c: LinearCode, *, max_primal: int = 26, max_dual: int = 24) -> int:
+def min_distance(c: LinearCode) -> int:
     """Minimum Hamming distance by exhaustive search.
 
     Enumerates the 2^k codewords when k is small; otherwise enumerates the
     2^(n-k) dual words and converts the dual weight distribution through the
     exact integer MacWilliams transform. Raises when both sides are too big.
     """
-    if c.k <= max_primal:
+    if c.k <= _MAX_PRIMAL:
         grows = [c.g.row_bits(i) for i in range(c.k)]
         best = c.n + 1
         for off, chunk in _iter_combination_chunks(grows, c.n):
@@ -151,7 +153,7 @@ def min_distance(c: LinearCode, *, max_primal: int = 26, max_dual: int = 24) -> 
                 best = m
         return best
     r = c.n - c.k
-    if r > max_dual:
+    if r > _MAX_DUAL:
         raise ValueError(f"instance too large: k={c.k}, n-k={r}")
     dual = weight_distribution([c.h.row_bits(i) for i in range(r)], c.n)
     dist = _macwilliams(dual, c.n, r)

@@ -67,9 +67,7 @@ class PreprocessPlan:
 
     def apply(self, llrs: np.ndarray) -> np.ndarray:
         """Transform a (frames, n) LLR array; pure function of its input."""
-        llrs = check_llr_batch(llrs)
-        if llrs.shape[-1] != self.n:
-            raise ValueError("LLR length does not match the matrix")
+        llrs = check_llr_batch(llrs, self.n)
         out = np.empty_like(llrs)
         for rows, sels in self.groups:
             if sels.shape[1] == 1:
@@ -110,6 +108,10 @@ class BpConfig:
             raise ValueError("iterations must be at least 1")
         if not 0.0 < self.normalization <= 1.0:
             raise ValueError("normalization must be in (0, 1]")
+        # an integer would index BP's live set instead of masking it
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise ValueError(f"early_stop must be a bool, got "
+                             f"{self.early_stop!r}")
 
 
 @dataclass(frozen=True)
@@ -202,16 +204,11 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     ascending check order: bit for bit the sequential sum over all checks
     of a dense (checks, n) layout that holds zeros off the edges.
     """
-    llrs = check_llr_batch(llrs)
+    llrs = check_llr_batch(llrs, graph.n)
     n_frames, n = llrs.shape
-    if n != graph.n:
-        raise ValueError("LLR length does not match the graph")
     out_hard = np.empty((n_frames, n), dtype=np.uint8)
     out_valid = np.empty(n_frames, dtype=bool)
     out_iters = np.empty(n_frames, dtype=np.int64)
-    # a NaN would decode as a valid all-zero word; big finite values saturate
-    if not np.isfinite(llrs).all():
-        raise ValueError("llrs contain NaN or infinity")
     check_vars, var_slots = graph.check_vars, graph.var_slots
     checks, width = check_vars.shape
     slots = checks * width
@@ -326,10 +323,7 @@ class GaedEnsemble:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
-        llrs = check_llr_batch(llrs)
-        # box-plus would turn an infinity finite before BP could see it
-        if not np.isfinite(llrs).all():
-            raise ValueError("llrs contain NaN or infinity")
+        llrs = check_llr_batch(llrs, self.code.n)
         shape = (len(self.plans), llrs.shape[0])
         hards = np.empty(shape + (self.code.n,), dtype=np.uint8)
         valids = np.empty(shape, dtype=bool)
@@ -397,13 +391,7 @@ def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:
     """Exhaustive maximum-likelihood decisions for a (frames, n) batch."""
-    llrs = check_llr_batch(llrs)
-    if llrs.shape[-1] != code.n:
-        raise ValueError(f"llrs length {llrs.shape[-1]} does not match the "
-                         f"code length {code.n}")
-    # argmax over a row of NaN correlations would pick the all-zero word
-    if not np.isfinite(llrs).all():
-        raise ValueError("llrs contain NaN or infinity")
+    llrs = check_llr_batch(llrs, code.n)
     table = code.codeword_table()
     signs = 1.0 - 2.0 * table.astype(np.float64)
     picks = (llrs @ signs.T).argmax(axis=1)

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .channel import LLR_CLAMP, check_llr_batch
+from .channel import check_llr_batch
 from .codes import LinearCode
 from .gf2 import bits_to_words, words_to_bits
 
@@ -113,14 +113,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    llrs = check_llr_batch(llrs)
-    if llrs.shape[1] != code.n:
-        raise ValueError(f"llrs length {llrs.shape[1]} does not match the "
-                         f"code length {code.n}")
-    if not np.isfinite(llrs).all():
-        raise ValueError("llrs contain NaN or infinity")
-    if (np.abs(llrs) > LLR_CLAMP).any():
-        raise ValueError(f"llrs exceed the clamp {LLR_CLAMP}")
+    llrs = check_llr_batch(llrs, code.n)
     frames, n = llrs.shape
     perm = np.argsort(-np.abs(llrs), axis=1, kind="stable")
     w = np.take_along_axis(llrs, perm, axis=1)

@@ -105,6 +105,10 @@ class SweepConfig:
     random_codewords: bool = False
 
     def __post_init__(self) -> None:
+        # a string iterates as characters and a bare number not at all
+        if isinstance(self.ebn0_db, str) or not np.iterable(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be a sequence of Eb/N0 points, "
+                             f"got {self.ebn0_db!r}")
         pts = tuple(float(x) for x in self.ebn0_db)
         if not pts:
             raise ValueError("need at least one Eb/N0 point")

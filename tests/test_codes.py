@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaedkit import codes
 from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
                            _iter_combination_chunks, _macwilliams, _weights,
                            check_pool, four_cycle_count, low_weight_dual_search,
@@ -124,15 +125,16 @@ def test_weight_distribution_matches_enumeration():
         assert weight_distribution(grows, c.n) == counts.tolist()
 
 
-def test_min_distance_primal_vs_dual():
-    c = hamming74()
-    assert min_distance(c) == 3
-    assert min_distance(c, max_primal=0) == 3   # forces the MacWilliams route
+def test_min_distance_primal_vs_dual(monkeypatch):
     rng = np.random.default_rng(52)
-    for _ in range(40):
-        c = random_code(rng, int(rng.integers(5, 15)), int(rng.integers(2, 6)))
-        primal = min_distance(c)
-        dual = min_distance(c, max_primal=0)
+    cases = [hamming74()] + [random_code(rng, int(rng.integers(5, 15)),
+                                         int(rng.integers(2, 6)))
+                             for _ in range(40)]
+    primals = [min_distance(c) for c in cases]
+    assert primals[0] == 3
+    monkeypatch.setattr(codes, "_MAX_PRIMAL", 0)  # the MacWilliams route
+    for c, primal in zip(cases, primals):
+        dual = min_distance(c)
         weights = c.codeword_table().sum(axis=1)
         brute = int(weights[weights > 0].min())
         assert primal == dual == brute
@@ -201,7 +203,7 @@ def test_min_distance_size_guard():
     rng = np.random.default_rng(53)
     c = random_code(rng, 54, 25)   # k = 29, n - k = 25
     with pytest.raises(ValueError, match="too large"):
-        min_distance(c, max_primal=26, max_dual=24)
+        min_distance(c)
 
 
 def test_low_weight_search_enumerates_small_duals():

@@ -238,18 +238,16 @@ def adversarial_mask(rng) -> np.ndarray:
 
 
 def adversarial_llrs(rng, frames: int, n: int, clamp: float) -> np.ndarray:
-    """LLRs with exact +-0.0, +-clamp, values beyond the clamp and
-    repeated magnitudes, so signed zeros and argmin ties occur; in kind 3
-    every magnitude is beyond the clamp, so whole checks start there."""
+    """LLRs with exact +-0.0, +-clamp and repeated magnitudes, so signed
+    zeros and argmin ties occur; in kind 3 every magnitude is exactly the
+    clamp, so whole checks start there."""
     kind = int(rng.integers(4))
     if kind == 0:
         return rng.uniform(-8.0, 8.0, size=(frames, n))
     if kind == 3:
-        signs = np.where(rng.random((frames, n)) < 0.5, -1.0, 1.0)
-        return signs * rng.uniform(clamp, 4.0 * clamp, size=(frames, n))
+        return np.where(rng.random((frames, n)) < 0.5, -clamp, clamp)
     if kind == 1:
-        pool = np.array([0.0, -0.0, clamp, -clamp, 1.5, -1.5, 0.5, -0.5,
-                         clamp + 3.0, -clamp - 3.0])
+        pool = np.array([0.0, -0.0, clamp, -clamp, 1.5, -1.5, 0.5, -0.5])
         return rng.choice(pool, size=(frames, n))
     llrs = rng.integers(-3, 4, size=(frames, n)) * 0.5
     llrs[rng.random((frames, n)) < 0.25] = -0.0
@@ -387,9 +385,10 @@ def test_bp_early_stop_off_runs_all_iterations():
     rng = np.random.default_rng(76)
     code = random_code(rng, 12, 5)
     llrs = rng.uniform(-4, 4, size=(1, 12))
-    _, _, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h), llrs,
-                                   BpConfig(iterations=9, early_stop=False))
-    assert iters[0] == 9
+    for off in (False, np.False_):
+        _, _, iters = bp_min_sum_batch(TannerGraph.from_pcm(code.h), llrs,
+                                       BpConfig(iterations=9, early_stop=off))
+        assert iters[0] == 9
 
 
 def test_bp_config_validation():
@@ -403,6 +402,11 @@ def test_bp_config_validation():
         BpConfig(iterations=1, normalization=0.0)
     with pytest.raises(ValueError, match="normalization"):
         BpConfig(iterations=1, normalization=1.5)
+    # an integer once made BP loop forever, indexing its live set
+    for bad in (0, 1, np.int64(1), 1.0, "yes", None):
+        with pytest.raises(ValueError, match="early_stop must be a bool"):
+            BpConfig(iterations=10, early_stop=bad)
+    assert BpConfig(iterations=10, early_stop=np.True_).early_stop
 
 
 def test_bp_input_validation():
@@ -513,33 +517,6 @@ def test_ensemble_validation():
     assert not verify_automorphism(code, intruder.matrix)
     with pytest.raises(ValueError, match="not an automorphism"):
         GaedEnsemble(code, [intruder])
-
-
-def test_bp_and_gaed_reject_non_finite_llrs():
-    # a NaN compares false everywhere, so BP used to return the all-zero
-    # word as a valid codeword for an all-NaN frame or one NaN among -3.0s
-    code, aut = built_pair()
-    graph = TannerGraph.from_pcm(code.h)
-    # with no identity path, box-plus turns an infinity at column 5 finite
-    # before BP sees it: every row of T that reads column 5 reads another
-    t = aut.matrix.to_numpy().astype(bool)
-    assert (t.sum(axis=1)[t[:, 5]] > 1).all()
-    ensembles = [GaedEnsemble(code, power_ensemble(aut, powers))
-                 for powers in ((0, 1, -1), (1,))]
-    cfg = BpConfig(iterations=10)
-    for value in (np.nan, np.inf, -np.inf):
-        one_bad = np.full((3, code.n), -3.0)
-        one_bad[1, 5] = value
-        for llrs in (np.full((2, code.n), value), one_bad):
-            with pytest.raises(ValueError, match="llrs"):
-                bp_min_sum_batch(graph, llrs, cfg)
-            for ens in ensembles:
-                with pytest.raises(ValueError, match="llrs"):
-                    ens.decode_batch(llrs, cfg)
-    # finite values beyond the clamp still saturate
-    hard, valid, iters = bp_min_sum_batch(
-        graph, np.full((1, code.n), 4 + LLR_CLAMP), cfg)
-    assert valid[0] and not hard.any() and iters[0] == 1
 
 
 def test_power_ensemble_members():
@@ -954,17 +931,6 @@ def test_osd_validation():
     good = np.ones((3, 7))
     with pytest.raises(ValueError, match="order"):
         osd_decode_batch(code, good, -1)
-    bad_inputs = {
-        "one-dimensional": np.ones(7),
-        "three-dimensional": np.ones((1, 3, 7)),
-        "wrong length": np.ones((3, 6)),
-        "NaN": np.where(np.eye(3, 7, dtype=bool), np.nan, 1.0),
-        "infinity": np.where(np.eye(3, 7, dtype=bool), -np.inf, 1.0),
-        "beyond the clamp": np.full((3, 7), LLR_CLAMP + 1.0),
-    }
-    for what, llrs in bad_inputs.items():
-        with pytest.raises(ValueError, match="llrs"):
-            osd_decode_batch(code, llrs, 1)
     # a generator with dependent rows has no information set of size k
     g = code.g.to_numpy()
     g[1] = g[0]
@@ -985,6 +951,38 @@ def test_ml_decode_is_argmax_over_the_table():
         corr = ((1.0 - 2.0 * batch[i]) * frames[i]).sum()
         all_corrs = signs @ frames[i]
         assert corr == pytest.approx(float(all_corrs.max()), abs=1e-12)
+    hamming = LinearCode.from_pcm(HAMMING_74_H)
+    assert ml_decode_batch(hamming, np.full((1, 7), -3.0)).tolist() == \
+        [[1] * 7]
+
+
+def test_bp_and_gaed_reject_non_finite_llrs():
+    # a NaN compares false everywhere, so BP used to return the all-zero
+    # word as a valid codeword for an all-NaN frame or one NaN among -3.0s
+    code, aut = built_pair()
+    graph = TannerGraph.from_pcm(code.h)
+    # with no identity path, box-plus turns an infinity at column 5 finite
+    # before BP sees it: every row of T that reads column 5 reads another
+    t = aut.matrix.to_numpy().astype(bool)
+    assert (t.sum(axis=1)[t[:, 5]] > 1).all()
+    ensembles = [GaedEnsemble(code, power_ensemble(aut, powers))
+                 for powers in ((0, 1, -1), (1,))]
+    cfg = BpConfig(iterations=10)
+    for value in (np.nan, np.inf, -np.inf):
+        one_bad = np.full((3, code.n), -3.0)
+        one_bad[1, 5] = value
+        for llrs in (np.full((2, code.n), value), one_bad):
+            with pytest.raises(ValueError, match="llrs"):
+                bp_min_sum_batch(graph, llrs, cfg)
+            for ens in ensembles:
+                with pytest.raises(ValueError, match="llrs"):
+                    ens.decode_batch(llrs, cfg)
+    # finite values beyond the clamp are rejected; the clamp saturates
+    with pytest.raises(ValueError, match="exceeds the clamp"):
+        bp_min_sum_batch(graph, np.full((1, code.n), 4 + LLR_CLAMP), cfg)
+    hard, valid, iters = bp_min_sum_batch(
+        graph, np.full((1, code.n), LLR_CLAMP), cfg)
+    assert valid[0] and not hard.any() and iters[0] == 1
 
 
 def test_ml_decode_batch_rejects_non_finite_llrs():
@@ -1007,29 +1005,6 @@ def test_ml_decode_batch_rejects_wrong_length():
             ml_decode_batch(code, llrs)
 
 
-def test_integer_and_list_llrs_decode_as_float64():
-    # integer LLRs once truncated every box-plus output, and lists raised
-    # AttributeError in all but OSD
-    res = construct_code_with_automorphism(16, 8, 0, seed=0)
-    code = res.code
-    ints = np.random.default_rng(95).integers(-4, 5, size=(40, code.n))
-    cfg = BpConfig(iterations=5)
-    calls = [
-        lambda x: bp_min_sum_batch(TannerGraph.from_pcm(code.h), x, cfg),
-        lambda x: (PreprocessPlan(res.aut.matrix).apply(x),),
-        lambda x: GaedEnsemble(code, power_ensemble(res.aut)).decode_batch(
-            x, cfg),
-        lambda x: (ml_decode_batch(code, x),),
-        lambda x: osd_decode_batch(code, x, 2),
-    ]
-    for call in calls:
-        want = call(ints.astype(np.float64))
-        for llrs in (ints, ints.tolist()):
-            got = call(llrs)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
 def test_single_frame_llrs_are_rejected_by_name():
     # one frame without its batch axis used to fail inside numpy
     res = construct_code_with_automorphism(16, 8, 0, seed=0)
@@ -1048,3 +1023,76 @@ def test_single_frame_llrs_are_rejected_by_name():
     for call in calls:
         with pytest.raises(ValueError, match=want):
             call()
+
+
+def llr_entry_points():
+    """The `built_pair` construction, and each LLR batch entry point as a
+    call on one batch: BP, preprocessing, GAED with and without the
+    identity path, ML and OSD."""
+    code, aut = built_pair()
+    graph = TannerGraph.from_pcm(code.h)
+    cfg = BpConfig(iterations=5)
+    ensembles = [GaedEnsemble(code, power_ensemble(aut, powers))
+                 for powers in ((0, 1, -1), (1,))]
+    return code, aut, {
+        "bp": lambda x: bp_min_sum_batch(graph, x, cfg),
+        "preprocess": lambda x: (PreprocessPlan(aut.matrix).apply(x),),
+        "gaed": lambda x: ensembles[0].decode_batch(x, cfg),
+        "gaed without identity": lambda x: ensembles[1].decode_batch(x, cfg),
+        "ml": lambda x: (ml_decode_batch(code, x),),
+        "osd": lambda x: osd_decode_batch(code, x, 2),
+    }
+
+
+def test_integer_and_list_llrs_decode_as_float64():
+    # integer LLRs once truncated every box-plus output, and lists raised
+    # AttributeError in all but OSD
+    code, _, calls = llr_entry_points()
+    ints = np.random.default_rng(95).integers(-4, 5, size=(40, code.n))
+    for call in calls.values():
+        want = call(ints.astype(np.float64))
+        for llrs in (ints, ints.tolist()):
+            got = call(llrs)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_every_entry_point_rejects_bad_llrs_alike():
+    # one gate serves every entry point, so a bad input gets one message
+    # everywhere; a NaN let through would decode as the all-zero word
+    code, aut, calls = llr_entry_points()
+    n = code.n
+    # every row of the path matrix that reads column 5 reads another, so
+    # box-plus alone would turn an infinity there finite
+    t = aut.matrix.to_numpy().astype(bool)
+    assert (t.sum(axis=1)[t[:, 5]] > 1).all()
+    shape = r"llrs must be a \(frames, n\) array, got shape "
+    bad = [
+        (np.ones(n), shape + rf"\({n},\)"),
+        (np.ones((1, 3, n)), shape + rf"\(1, 3, {n}\)"),
+        (np.ones((3, n - 1)), f"llrs length {n - 1} does not match the "
+                              f"code length {n}"),
+        (np.ones((3, n + 1)), f"llrs length {n + 1} does not match the "
+                              f"code length {n}"),
+        (np.ones((0, n + 1)), f"llrs length {n + 1} does not match the "
+                              f"code length {n}"),
+    ]
+    for value in (np.nan, np.inf, -np.inf, LLR_CLAMP + 1, -(LLR_CLAMP + 1)):
+        want = ("llrs contain NaN or infinity" if not np.isfinite(value)
+                else rf"llrs .*exceeds the clamp {LLR_CLAMP}")
+        one_bad = np.full((3, n), -3.0)
+        one_bad[1, 5] = value
+        bad += [(np.full((2, n), value), want), (one_bad, want)]
+    for llrs, want in bad:
+        messages = set()
+        for call in calls.values():
+            with pytest.raises(ValueError, match=want) as err:
+                call(llrs)
+            messages.add(str(err.value))
+        assert len(messages) == 1, (llrs.shape, messages)
+    # the clamp itself decodes everywhere; all +clamp is the zero codeword
+    edge = np.where(np.eye(3, n, dtype=bool), -LLR_CLAMP, LLR_CLAMP)
+    for call in calls.values():
+        call(edge)
+    hard, valid, iters = calls["bp"](np.full((1, n), LLR_CLAMP))
+    assert valid[0] and not hard.any() and iters[0] == 1

@@ -70,6 +70,11 @@ def test_decoder_spec_validation():
             DecoderSpec("gaed", powers=bad)
     assert DecoderSpec("gaed", powers=(np.int64(0), 1)).label == \
         "GAED-2-BP-20"
+    # an integer once made BP loop forever, indexing its live set
+    for bad in (0, 1, np.int64(1), 1.0, "yes", None):
+        with pytest.raises(ValueError, match="early_stop must be a bool"):
+            DecoderSpec("bp", early_stop=bad)
+    assert DecoderSpec("bp", early_stop=np.True_).early_stop
 
 
 def test_sweep_config_validation():
@@ -82,6 +87,10 @@ def test_sweep_config_validation():
     for bad in ((3.0, float("nan")), (float("nan"),), (1.0, float("inf")),
                 (float("-inf"), 1.0)):
         with pytest.raises(ValueError, match="finite"):
+            SweepConfig(ebn0_db=bad)
+    # "12" once became the points (1.0, 2.0); 4.0 raised a bare TypeError
+    for bad in ("12", 4.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="ebn0_db"):
             SweepConfig(ebn0_db=bad)
     with pytest.raises(ValueError, match="min_frame_errors"):
         SweepConfig(ebn0_db=(1.0,), min_frame_errors=0)
