@@ -304,8 +304,7 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
             seed=pool_seed)
         # the lightest words alone may not span; the PCM optimizer needs a
         # spanning pool, and the current rows of H always provide one
-        pool = DualWordPool(pool.words + tuple(code1.h), code1.n,
-                            pool.complete)
+        pool = DualWordPool(pool.words + tuple(code1.h), code1.n)
         code2 = optimize_pcm(code1, pool, seed=opt_seed)
         if not verify_automorphism(code2, t1):
             raise AssertionError("constructed matrix failed the automorphism check")

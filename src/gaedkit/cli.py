@@ -14,8 +14,7 @@ from .automorphisms import (ConstructionError, GeneralizedAutomorphism,
                             construct_code_with_automorphism,
                             verify_automorphism)
 from .codes import LinearCode, min_distance
-from .gf2 import (BitMatrix, SingularMatrixError, independent_rows, invert,
-                  rank)
+from .gf2 import BitMatrix, independent_rows, invert, rank
 from .matio import (read_alist, read_dense, read_kv, write_alist, write_dense,
                     write_kv)
 from .sweep import DecoderSpec, SweepConfig, format_records, run_sweep
@@ -184,6 +183,9 @@ def _cmd_simulate(args) -> int:
     unknown = set(raw) - _SIM_KEYS
     if unknown:
         return _fail(f"unknown config keys: {', '.join(sorted(unknown))}")
+    clash = sorted({"h", "t"} & set(raw)) if "dir" in raw else []
+    if clash:
+        return _fail(f"dir= excludes {' and '.join(k + '=' for k in clash)}")
     try:
         base = Path(args.config).resolve().parent
         if "dir" in raw:
@@ -200,17 +202,8 @@ def _cmd_simulate(args) -> int:
         code = LinearCode.from_pcm(h)
         spec = DecoderSpec(kind=raw.get("decoder", ""),
                            **_sim_fields(raw, DecoderSpec))
-        aut = None
-        if spec.kind == "gaed":
-            if t is None:
-                return _fail("gaed decoding needs t= (or a dir with T.txt)")
-            try:
-                aut = GeneralizedAutomorphism.from_matrix(t)
-            except SingularMatrixError:
-                return _fail("T is singular; refusing to simulate")
-            if not verify_automorphism(code, t):
-                return _fail("T is not an automorphism of the code; "
-                             "refusing to simulate")
+        # run_sweep checks what the decoder kind needs of it
+        aut = None if t is None else GeneralizedAutomorphism.from_matrix(t)
         if "ebn0_db" not in raw:
             return _fail("config needs ebn0_db=")
         cfg = SweepConfig(**_sim_fields(raw, SweepConfig))
@@ -226,7 +219,8 @@ def _cmd_simulate(args) -> int:
         records = run_sweep(code, spec, cfg, aut=aut)
     except ValueError as e:
         # bad inputs that only building the decoder finds, before any frame
-        # is decoded: e.g. a dual code too small for ell
+        # is decoded: e.g. a gaed T that is no automorphism of the code, or
+        # a dual code too small for ell
         return _fail(str(e))
     text = format_records(records)
     if out is not None:

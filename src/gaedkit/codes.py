@@ -141,22 +141,14 @@ def min_distance(c: LinearCode) -> int:
     2^(n-k) dual words and converts the dual weight distribution through the
     exact integer MacWilliams transform. Raises when both sides are too big.
     """
-    if c.k <= _MAX_PRIMAL:
-        grows = [c.g.row_bits(i) for i in range(c.k)]
-        best = c.n + 1
-        for off, chunk in _iter_combination_chunks(grows, c.n):
-            w = _weights(chunk)
-            if off == 0:
-                w[0] = c.n + 1  # the all-zero word
-            m = int(w.min())
-            if m < best:
-                best = m
-        return best
     r = c.n - c.k
-    if r > _MAX_DUAL:
+    if c.k <= _MAX_PRIMAL:
+        dist = weight_distribution([c.g.row_bits(i) for i in range(c.k)], c.n)
+    elif r <= _MAX_DUAL:
+        dual = weight_distribution([c.h.row_bits(i) for i in range(r)], c.n)
+        dist = _macwilliams(dual, c.n, r)
+    else:
         raise ValueError(f"instance too large: k={c.k}, n-k={r}")
-    dual = weight_distribution([c.h.row_bits(i) for i in range(r)], c.n)
-    dist = _macwilliams(dual, c.n, r)
     return next(j for j in range(1, c.n + 1) if dist[j] > 0)
 
 
@@ -189,14 +181,10 @@ class DualWordPool:
 
     The constructor enforces both, and rejects 0 and any word with a bit at
     or above n; `check_pool` checks the words against a code's dual.
-
-    complete is False when a random search hit its iteration budget before
-    reaching the requested number of words; enumeration is always complete.
     """
 
     words: tuple[int, ...]
     n: int
-    complete: bool
 
     def __post_init__(self) -> None:
         words = sorted(set(self.words), key=lambda w: (w.bit_count(), w))
@@ -219,8 +207,8 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
     Only the returned words are converted to ints.
 
     Above n-k = 24 a seeded random-combination search over H's rows runs
-    instead; its pool is marked incomplete when the iteration budget ends
-    before target_count words are found.
+    instead; its pool holds fewer than target_count words when the
+    iteration budget ends first.
     """
     if target_count < 1:
         raise ValueError("target_count must be positive")
@@ -248,7 +236,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
         p, w = np.concatenate(packed), np.concatenate(weights)
         # the last packed column is the most significant (see gaedkit.gf2)
         order = np.lexsort((*p.T, w))[:target_count]
-        return DualWordPool(tuple(words_to_ints(p[order])), c.n, True)
+        return DualWordPool(tuple(words_to_ints(p[order])), c.n)
 
     rng = np.random.default_rng(seed)
     collected = set(hrows)
@@ -268,7 +256,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
             if word:
                 collected.add(word)
     words = sorted(collected, key=lambda v: (v.bit_count(), v))[:target_count]
-    return DualWordPool(tuple(words), c.n, len(words) >= target_count)
+    return DualWordPool(tuple(words), c.n)
 
 
 def check_pool(c: LinearCode, pool: DualWordPool) -> None:

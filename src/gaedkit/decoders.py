@@ -12,7 +12,7 @@ keep the most likely candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -106,7 +106,12 @@ class BpConfig:
         _check_integers(self, "iterations")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not 0.0 < self.normalization <= 1.0:
+        # a string or None would fail the comparison with a bare TypeError,
+        # and True would pass it as 1.0
+        norm = self.normalization
+        if isinstance(norm, bool) or not isinstance(norm, Real):
+            raise ValueError(f"normalization must be a number, got {norm!r}")
+        if not 0.0 < norm <= 1.0:
             raise ValueError("normalization must be in (0, 1]")
         # an integer would index BP's live set instead of masking it
         if not isinstance(self.early_stop, (bool, np.bool_)):
@@ -347,7 +352,8 @@ class GaedEnsemble:
 def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)
                    ) -> list[GeneralizedAutomorphism]:
     """Ensemble members t^alpha for the given exponents, in order."""
-    return [GeneralizedAutomorphism.from_matrix(aut.power(a)) for a in powers]
+    return [GeneralizedAutomorphism(aut.power(a), aut.power(-a))
+            for a in powers]
 
 
 def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,

@@ -7,7 +7,7 @@ for any worker count, and byte-identical CSV (modulo the wall-clock column)
 follows from an identical (config, seed) pair.
 
 The decoder is built once per sweep, in the calling process, from the
-caller's code, automorphism and pool, and that built runtime is the task:
+caller's code and automorphism, and that built runtime is the task:
 `runtime(task)` decodes one group of chunks. Each round splits its chunks
 into one contiguous group per worker and maps the runtime over the groups,
 with the builtin `map` for one worker and a process pool's `map` otherwise,
@@ -29,7 +29,7 @@ import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
-from .codes import DualWordPool, LinearCode, low_weight_dual_search
+from .codes import LinearCode, low_weight_dual_search
 from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_integers,
                        _is_integer, bp_min_sum_batch, power_ensemble,
                        stack_redundant_pcm)
@@ -151,8 +151,7 @@ class _Runtime:
     """
 
     def __init__(self, code: LinearCode, spec: DecoderSpec,
-                 aut: GeneralizedAutomorphism | None,
-                 pool: DualWordPool | None):
+                 aut: GeneralizedAutomorphism | None):
         self.code = code
         cfg = BpConfig(iterations=spec.iterations,
                        normalization=spec.normalization,
@@ -167,10 +166,9 @@ class _Runtime:
             self.decode = partial(osd_decode_batch, code, order=spec.osd_order)
         else:
             if spec.kind == "rr":
-                if pool is None:
-                    need = spec.ell * (code.n - code.k)
-                    pool = low_weight_dual_search(
-                        code, target_count=need + 32, seed=_POOL_SEED)
+                pool = low_weight_dual_search(
+                    code, target_count=spec.ell * (code.n - code.k) + 32,
+                    seed=_POOL_SEED)
                 h = stack_redundant_pcm(code, pool, spec.ell)
             self.decode = partial(bp_min_sum_batch, TannerGraph.from_pcm(h),
                                   cfg=cfg)
@@ -222,14 +220,13 @@ class _Runtime:
 
 def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
               aut: GeneralizedAutomorphism | None = None,
-              pool: DualWordPool | None = None,
               timer=time.perf_counter) -> list[FerRecord]:
     """Frame-error-rate estimates per Eb/N0 point.
 
     Each point accumulates chunk rounds until min_frame_errors errors or
     max_frames frames are reached; counts are invariant to workers.
     """
-    runtime = _Runtime(code, spec, aut, pool)
+    runtime = _Runtime(code, spec, aut)
     with ExitStack() as stack:
         run = map
         if cfg.workers > 1:

@@ -199,6 +199,18 @@ def write_sim_config(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.fixture
+def no_frames(monkeypatch):
+    """Make drawing a sweep frame fail, for configs that must be refused
+    before any frame is decoded."""
+    import gaedkit.sweep as sweep
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a frame was drawn before the inputs were checked")
+
+    monkeypatch.setattr(sweep, "awgn_llr_batch", draw)
+
+
 def test_simulate_bp_to_stdout(tmp_path, capsys):
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
     cfgf = tmp_path / "sim.cfg"
@@ -279,7 +291,7 @@ def test_simulate_adds_no_defaults_of_its_own(tmp_path, capsys, decoder):
     assert len(counts[0]) == 2
 
 
-def test_simulate_rejects_non_automorphism_t(tmp_path, capsys):
+def test_simulate_rejects_non_automorphism_t(tmp_path, capsys, no_frames):
     rc, out = construct(tmp_path)
     assert rc == 0
     h = read_dense(out / "H.txt")
@@ -297,24 +309,30 @@ def test_simulate_rejects_non_automorphism_t(tmp_path, capsys):
     ])
     rc = main(["simulate", str(cfgf)])
     assert rc == 2
-    assert "refusing to simulate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not an automorphism" in err
+    assert "Traceback" not in err
 
 
-def test_simulate_rejects_singular_t(tmp_path, capsys):
+def test_simulate_rejects_singular_t(tmp_path, capsys, no_frames):
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
     write_dense(BitMatrix.from_rows([[1] + [0] * 6] * 7),
                 tmp_path / "T_sing.txt")
     cfgf = tmp_path / "sing.cfg"
-    write_sim_config(cfgf, [
-        "h = H.txt", "decoder = gaed", "t = T_sing.txt",
-        "ebn0_db = 3.0",
-    ])
-    rc = main(["simulate", str(cfgf)])
-    assert rc == 2
-    assert "singular" in capsys.readouterr().err
+    # a given T must be invertible whatever the decoder
+    for decoder in ("gaed", "bp"):
+        write_sim_config(cfgf, [
+            "h = H.txt", f"decoder = {decoder}", "t = T_sing.txt",
+            "ebn0_db = 3.0",
+        ])
+        rc = main(["simulate", str(cfgf)])
+        assert rc == 2, decoder
+        err = capsys.readouterr().err
+        assert "singular" in err, decoder
+        assert "Traceback" not in err
 
 
-def test_simulate_config_validation(tmp_path, capsys):
+def test_simulate_config_validation(tmp_path, capsys, no_frames):
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
     cases = [
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "wat = 7"],
@@ -322,7 +340,12 @@ def test_simulate_config_validation(tmp_path, capsys):
         (["decoder = bp", "ebn0_db = 1.0"], "dir= or h="),
         (["h = H.txt", "ebn0_db = 1.0"], "decoder must be"),
         (["h = H.txt", "decoder = bp"], "needs ebn0_db"),
-        (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0"], "needs t="),
+        (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0"],
+         "need an automorphism"),
+        (["dir = c16", "h = nonexistent.txt", "t = missing.txt",
+          "decoder = bp", "ebn0_db = 1.0"], "dir= excludes h= and t="),
+        (["dir = c16", "t = missing.txt", "decoder = bp", "ebn0_db = 1.0"],
+         "dir= excludes t="),
         (["h = H.txt", "decoder = bp", "ebn0_db = 2.0,1.0"],
          "strictly increasing"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 3, nan"], "finite"),
@@ -354,6 +377,7 @@ def test_simulate_config_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, lines
         assert needle in err, lines
+        assert "Traceback" not in err, lines
     assert main(["simulate", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
 
@@ -393,14 +417,10 @@ def test_simulate_osd_and_rr(tmp_path, capsys):
 
 
 def test_simulate_rr_with_too_small_dual_exits_two(tmp_path, capsys,
-                                                  monkeypatch):
+                                                  monkeypatch, no_frames):
     import gaedkit.sweep as sweep
     from gaedkit.codes import DualWordPool
 
-    def no_frames(*args, **kwargs):
-        raise AssertionError("a frame was decoded before the pool check")
-
-    monkeypatch.setattr(sweep, "awgn_llr_batch", no_frames)
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
     cfgf = tmp_path / "rr.cfg"
     write_sim_config(cfgf, ["h = H.txt", "decoder = rr", "ell = 3",
@@ -413,8 +433,7 @@ def test_simulate_rr_with_too_small_dual_exits_two(tmp_path, capsys,
     # a pool that does not span the dual, as a random search can return
     a, b = HAMMING_74_H.row_bits(0), HAMMING_74_H.row_bits(1)
     thin = DualWordPool(tuple(sorted((a, b, a ^ b),
-                                     key=lambda w: (w.bit_count(), w))),
-                        7, False)
+                                     key=lambda w: (w.bit_count(), w))), 7)
     monkeypatch.setattr(sweep, "low_weight_dual_search",
                         lambda *args, **kwargs: thin)
     write_sim_config(cfgf, ["h = H.txt", "decoder = rr", "ell = 1",

@@ -52,7 +52,7 @@ def sorted_enumeration_oracle(c, target_count):
             found.sort()
             del found[target_count:]
     found.sort()
-    return DualWordPool(tuple(v for _, v in found[:target_count]), c.n, True)
+    return DualWordPool(tuple(v for _, v in found[:target_count]), c.n)
 
 
 def bits_to_int(bits) -> int:
@@ -209,7 +209,6 @@ def test_min_distance_size_guard():
 def test_low_weight_search_enumerates_small_duals():
     c = hamming74()
     pool = low_weight_dual_search(c, target_count=20)
-    assert pool.complete
     assert len(pool.words) == 7
     assert [w.bit_count() for w in pool.words] == [4] * 7
     check_pool(c, pool)
@@ -342,18 +341,18 @@ def test_dual_word_pool_sorts_dedups_and_checks_range():
     c = hamming74()
     rows = tuple(HAMMING_74_H)
     # the three rows given three times are three words, not nine
-    tripled = DualWordPool(rows * 3, 7, True)
+    tripled = DualWordPool(rows * 3, 7)
     assert tripled.words == (85, 102, 120)
     with pytest.raises(ValueError, match="needs 9 dual words"):
         stack_redundant_pcm(c, tripled, 3)
-    assert DualWordPool((120, 85, 102, 85), 7, False).words == (85, 102, 120)
+    assert DualWordPool((120, 85, 102, 85), 7).words == (85, 102, 120)
     with pytest.raises(ValueError, match="nonzero .*got 0x0$"):
-        DualWordPool((0, 5, 5, 1 << 9), 7, True)
+        DualWordPool((0, 5, 5, 1 << 9), 7)
     with pytest.raises(ValueError, match="at or above n=7, got 0x200"):
-        DualWordPool((5, 5, 1 << 9), 7, True)
+        DualWordPool((5, 5, 1 << 9), 7)
     with pytest.raises(ValueError, match="at or above n=7, got 0x80"):
-        DualWordPool((1 << 7,), 7, True)
-    assert DualWordPool((1 << 6,), 7, True).words == (1 << 6,)
+        DualWordPool((1 << 7,), 7)
+    assert DualWordPool((1 << 6,), 7).words == (1 << 6,)
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -375,7 +374,7 @@ def test_check_pool_matches_generator_product(c, seed):
     dual += [xor_rows(list(c.h), m)
              for m in rng.integers(1, 1 << c.h.rows, size=5).tolist()]
     for w in dual:
-        pool = DualWordPool((w,), c.n, True)
+        pool = DualWordPool((w,), c.n)
         if c.g.mat_vec(w) != 0:
             with pytest.raises(ValueError, match="outside the dual code"):
                 check_pool(c, pool)
@@ -385,14 +384,14 @@ def test_check_pool_matches_generator_product(c, seed):
 
 def test_optimize_pcm_rejects_bad_pools():
     c = hamming74()
-    alien = DualWordPool((0b1,), 7, True)
+    alien = DualWordPool((0b1,), 7)
     with pytest.raises(ValueError, match="outside the dual"):
         optimize_pcm(c, alien)
     thin = DualWordPool(tuple(sorted(
-        [HAMMING_74_H.row_bits(0)], key=lambda w: (w.bit_count(), w))), 7, True)
+        [HAMMING_74_H.row_bits(0)], key=lambda w: (w.bit_count(), w))), 7)
     with pytest.raises(ValueError, match="does not span"):
         optimize_pcm(c, thin)
-    short = DualWordPool((0b11,), 6, True)
+    short = DualWordPool((0b11,), 6)
     with pytest.raises(ValueError, match="does not match"):
         check_pool(c, short)
 

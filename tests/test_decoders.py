@@ -402,6 +402,12 @@ def test_bp_config_validation():
         BpConfig(iterations=1, normalization=0.0)
     with pytest.raises(ValueError, match="normalization"):
         BpConfig(iterations=1, normalization=1.5)
+    # a wrong type once raised a bare TypeError, and True passed as 1.0
+    for bad in ("0.5", None, True, np.True_, [0.5]):
+        with pytest.raises(ValueError, match="normalization must be a number"):
+            BpConfig(iterations=5, normalization=bad)
+    assert BpConfig(iterations=5, normalization=np.float32(0.5)).normalization \
+        == 0.5
     # an integer once made BP loop forever, indexing its live set
     for bad in (0, 1, np.int64(1), 1.0, "yes", None):
         with pytest.raises(ValueError, match="early_stop must be a bool"):
@@ -572,7 +578,7 @@ def test_stack_redundant_pcm_shape_and_span():
                    {code.h.row_bits(i) ^ code.h.row_bits(j)
                     for i in range(r) for j in range(i + 1, r)},
                    key=lambda w: (w.bit_count(), w))
-    pool = DualWordPool(tuple(words), code.n, True)
+    pool = DualWordPool(tuple(words), code.n)
     ell = len(words) // r
     assert ell >= 2
     stacked = stack_redundant_pcm(code, pool, ell)
@@ -587,7 +593,7 @@ def test_stack_redundant_pcm_shape_and_span():
 def test_redundant_stack_of_h_itself_reproduces_bp():
     code, _ = built_pair()
     rows = sorted(code.h, key=lambda w: (w.bit_count(), w))
-    pool = DualWordPool(tuple(rows), code.n, True)
+    pool = DualWordPool(tuple(rows), code.n)
     stacked = stack_redundant_pcm(code, pool, 1)
     assert stacked == code.h   # optimize_pcm already emits sorted rows
     frames = awgn_llr_batch(np.zeros((40, code.n), dtype=np.uint8), 2.0, 0.5,
@@ -603,7 +609,7 @@ def test_stack_redundant_pcm_errors():
     code, _ = built_pair()
     r = code.n - code.k
     rows = tuple(sorted(code.h, key=lambda w: (w.bit_count(), w)))
-    pool = DualWordPool(rows, code.n, True)
+    pool = DualWordPool(rows, code.n)
     with pytest.raises(ValueError, match="ell"):
         stack_redundant_pcm(code, pool, 0)
     with pytest.raises(ValueError, match="need"):
@@ -619,23 +625,23 @@ def test_stack_redundant_pcm_errors():
     assert len(thin_words) >= r
     deps = DualWordPool(tuple(sorted(thin_words,
                                      key=lambda w: (w.bit_count(), w))),
-                        code.n, True)
+                        code.n)
     with pytest.raises(ValueError, match="span"):
         stack_redundant_pcm(code, deps, 1)
     # words outside the dual code: random words, and another code's dual
     rng = np.random.default_rng(31)
     noise = DualWordPool(tuple(int(w) for w in
                                rng.integers(1, 1 << code.n, size=4 * r)),
-                         code.n, True)
+                         code.n)
     with pytest.raises(ValueError, match="outside the dual"):
         stack_redundant_pcm(code, noise, 2)
     other, _ = built_pair(seed=7)
-    foreign = DualWordPool(tuple(other.h), other.n, True)
+    foreign = DualWordPool(tuple(other.h), other.n)
     assert other.n == code.n and other.h != code.h
     with pytest.raises(ValueError, match="outside the dual"):
         stack_redundant_pcm(code, foreign, 1)
     # a pool built for another length
-    wide = DualWordPool(tuple(w << 1 for w in rows), code.n + 1, True)
+    wide = DualWordPool(tuple(w << 1 for w in rows), code.n + 1)
     with pytest.raises(ValueError, match="length"):
         stack_redundant_pcm(code, wide, 1)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gaedkit.automorphisms import construct_code_with_automorphism
-from gaedkit.codes import DualWordPool, LinearCode, low_weight_dual_search
+from gaedkit.codes import LinearCode
 from gaedkit.gf2 import BitMatrix
 from gaedkit import sweep
 from gaedkit.sweep import (_CHUNKS_PER_ROUND, CSV_HEADER, DecoderSpec,
@@ -53,6 +53,9 @@ def test_decoder_spec_validation():
         DecoderSpec("bp", iterations=0)
     with pytest.raises(ValueError, match="normalization"):
         DecoderSpec("bp", normalization=0.0)
+    for bad in ("0.5", None, True, np.True_):
+        with pytest.raises(ValueError, match="normalization must be a number"):
+            DecoderSpec("bp", normalization=bad)
     with pytest.raises(ValueError, match="ell"):
         DecoderSpec("rr", ell=0)
     with pytest.raises(ValueError, match="osd_order"):
@@ -164,7 +167,7 @@ def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
         (b[0].frames, b[0].frame_errors, b[0].bit_errors)
     # workers may receive the built decoder pickled; a round trip must
     # decode the same one-chunk group to the same counts
-    runtime = _Runtime(res.code, spec, res.aut, None)
+    runtime = _Runtime(res.code, spec, res.aut)
     restored = pickle.loads(pickle.dumps(runtime))
     task = (9, random_codewords, 0, 2.0, [(0, 300)])
     assert runtime(task) == restored(task)
@@ -200,7 +203,7 @@ def fake_pool(monkeypatch):
 def test_one_group_counts_equal_the_sum_of_its_chunks(kind, random_codewords):
     res = construct_code_with_automorphism(16, 8, 4, seed=0)
     runtime = _Runtime(res.code, DecoderSpec(kind, iterations=5, ell=2,
-                                             osd_order=2), res.aut, None)
+                                             osd_order=2), res.aut)
     # the default slice holds the whole round; 100 frames makes several
     # draws a chunk and slices that end inside a round
     for batch_frames, sizes in ((runtime.batch_frames, [256] * 8),
@@ -293,21 +296,8 @@ def test_sweep_gaed_rr_osd_kinds():
     assert gaed[0].frames >= 1
 
     rr = run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
-                   timer=fake_timer())   # pool defaults to a seeded search
+                   timer=fake_timer())   # its pool is a seeded search
     assert rr[0].frames >= 1
-
-    pool = low_weight_dual_search(code, 4 * (code.n - code.k))
-    rr2 = run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
-                    pool=pool, timer=fake_timer())
-    assert rr2[0].frames >= 1
-
-    # a pool searched on another code of the same shape is refused, not
-    # decoded with a wrong PCM
-    other = construct_code_with_automorphism(16, 8, 4, seed=7).code
-    foreign = low_weight_dual_search(other, 4 * (code.n - code.k))
-    with pytest.raises(ValueError, match="outside the dual"):
-        run_sweep(code, DecoderSpec("rr", iterations=6, ell=2), cfg,
-                  pool=foreign, timer=fake_timer())
 
     osd_code = LinearCode.from_pcm(HAMMING_74_H)
     osd = run_sweep(osd_code, DecoderSpec("osd", osd_order=2),
