@@ -104,33 +104,43 @@ def _combination_table(rows: list[int], n: int) -> np.ndarray:
     packed = ints_to_words(rows, n)
     table = np.zeros((1 << len(rows), packed.shape[1]), dtype=np.uint64)
     for i in range(len(rows)):
-        table[1 << i:2 << i] = table[: 1 << i] ^ packed[i]
+        np.bitwise_xor(table[: 1 << i], packed[i], out=table[1 << i:2 << i])
     return table
 
 
-def _iter_combination_chunks(rows: list[int], n: int
-                             ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (base_mask, packed chunk) covering all 2^len combinations."""
+def _iter_span(rows: list[int], n: int
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (packed words, int64 weights) chunks covering all 2^len(rows)
+    XOR combinations of the rows, one chunk per combination of the rows
+    above the first _CHUNK_BITS.
+
+    Both arrays are buffers allocated once and refilled for the next chunk,
+    so they are valid only until the iterator resumes: a caller that keeps
+    words must copy them out.
+    """
     low = min(len(rows), _CHUNK_BITS)
     table = _combination_table(rows[:low], n)
-    high_rows = rows[low:]
-    for hi in range(1 << len(high_rows)):
-        base = xor_rows(high_rows, hi)
-        if base:
-            yield hi << low, table ^ ints_to_words([base], n)[0]
-        else:
-            yield 0, table
-
-
-def _weights(packed: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    bases = _combination_table(rows[low:], n)
+    chunk = np.empty_like(table) if len(bases) > 1 else table
+    weights = np.empty(len(table), dtype=np.int64)
+    counts = np.empty(len(table), dtype=np.uint8)
+    for base in bases:
+        if chunk is not table:
+            np.bitwise_xor(table, base, out=chunk)
+        # a popcount per word column: a sum along the short word axis of a
+        # (rows, words) count array is several times slower
+        np.bitwise_count(chunk[:, 0], out=weights)
+        for j in range(1, chunk.shape[1]):
+            np.add(weights, np.bitwise_count(chunk[:, j], out=counts),
+                   out=weights)
+        yield chunk, weights
 
 
 def weight_distribution(rows: list[int], n: int) -> list[int]:
     """Weight counts of the span of the given rows (must be independent)."""
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, chunk in _iter_combination_chunks(rows, n):
-        counts += np.bincount(_weights(chunk), minlength=n + 1)
+    for _, weights in _iter_span(rows, n):
+        counts += np.bincount(weights, minlength=n + 1)
     return counts.tolist()
 
 
@@ -201,10 +211,12 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
 
     When n-k <= 24 all 2^(n-k) dual words are enumerated, and the result is
     exactly the first target_count nonzero words in (weight, value) order.
-    The enumeration keeps, as packed arrays, only the words at or under a
-    running cutoff weight: the smallest weight by which the words seen so
-    far already fill the target, since no heavier word can make the pool.
-    Only the returned words are converted to ints.
+    For each chunk of the enumeration the weight histogram and the cutoff
+    are updated first: the cutoff is the smallest weight by which the words
+    seen so far already fill the target, since no heavier word can make the
+    pool. Only then is the chunk filtered, so only its words at or under the
+    cutoff are copied out, as packed arrays; only the returned words are
+    converted to ints.
 
     Above n-k = 24 a seeded random-combination search over H's rows runs
     instead; its pool holds fewer than target_count words when the
@@ -219,23 +231,19 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
         hist = np.zeros(c.n + 1, dtype=np.int64)
         packed: list[np.ndarray] = []
         weights: list[np.ndarray] = []
-        for _, chunk in _iter_combination_chunks(hrows, c.n):
-            w = _weights(chunk)
-            keep = (w > 0) & (w <= cutoff)
+        for chunk, w in _iter_span(hrows, c.n):
+            hist += np.bincount(w, minlength=c.n + 1)
+            # hist[0] counts the zero word, which is no pool word
+            cutoff = min(cutoff, 1 + int(np.searchsorted(
+                np.cumsum(hist[1:]), target_count)))
+            # row indices: a boolean mask over 2-D rows is several times slower
+            keep = np.flatnonzero(w <= cutoff)
             packed.append(chunk[keep])
             weights.append(w[keep])
-            hist += np.bincount(weights[-1], minlength=c.n + 1)
-            reached = int(np.searchsorted(np.cumsum(hist), target_count))
-            if reached < cutoff:
-                cutoff = reached
-                # rebinding w and keep frees this chunk's arrays before the
-                # copy below, which lowers the peak memory
-                p, w = np.concatenate(packed), np.concatenate(weights)
-                keep = w <= cutoff
-                packed, weights = [p[keep]], [w[keep]]
         p, w = np.concatenate(packed), np.concatenate(weights)
-        # the last packed column is the most significant (see gaedkit.gf2)
-        order = np.lexsort((*p.T, w))[:target_count]
+        # the last packed column is the most significant (see gaedkit.gf2);
+        # the zero word sorts first and is skipped
+        order = np.lexsort((*p.T, w))[1:target_count + 1]
         return DualWordPool(tuple(words_to_ints(p[order])), c.n)
 
     rng = np.random.default_rng(seed)

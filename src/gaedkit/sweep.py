@@ -157,6 +157,9 @@ class _Runtime:
                        normalization=spec.normalization,
                        early_stop=spec.early_stop)
         h = code.h
+        # a given automorphism must fit the code whatever the decoder kind
+        if aut is not None and aut.n != code.n:
+            raise ValueError("automorphism size does not match the code")
         if spec.kind == "gaed":
             if aut is None:
                 raise ValueError("gaed sweeps need an automorphism")

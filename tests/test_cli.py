@@ -332,6 +332,21 @@ def test_simulate_rejects_singular_t(tmp_path, capsys, no_frames):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("decoder", ["bp", "gaed", "rr", "osd"])
+def test_simulate_rejects_t_of_the_wrong_size(tmp_path, capsys, no_frames,
+                                              decoder):
+    write_dense(HAMMING_74_H, tmp_path / "H.txt")
+    write_dense(BitMatrix.identity(9), tmp_path / "T9.txt")
+    cfgf = tmp_path / "size.cfg"
+    # ell = 2 fits the (7,4) dual, so rr has nothing else to refuse
+    write_sim_config(cfgf, ["h = H.txt", f"decoder = {decoder}", "ell = 2",
+                            "t = T9.txt", "ebn0_db = 3.0"])
+    assert main(["simulate", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert "automorphism size does not match the code" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_config_validation(tmp_path, capsys, no_frames):
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
     cases = [

@@ -1,5 +1,7 @@
 """Linear code container, distance search, PCM optimization."""
 
+import heapq
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -9,10 +11,9 @@ from hypothesis import strategies as st
 
 from gaedkit import codes
 from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
-                           _iter_combination_chunks, _macwilliams, _weights,
-                           check_pool, four_cycle_count, low_weight_dual_search,
-                           min_distance, optimize_pcm, reduce_zero_columns,
-                           weight_distribution)
+                           _macwilliams, check_pool, four_cycle_count,
+                           low_weight_dual_search, min_distance, optimize_pcm,
+                           reduce_zero_columns, weight_distribution)
 from gaedkit.decoders import stack_redundant_pcm
 from gaedkit.gf2 import BitMatrix, rank, xor_rows
 
@@ -35,24 +36,18 @@ def random_code(rng, n, r):
             return LinearCode.from_pcm(h)
 
 
-def sorted_enumeration_oracle(c, target_count):
-    """The exhaustive dual-word search as a plain list-and-sort loop.
+def span_words(rows):
+    """Every XOR combination of the int rows, one xor_rows call per mask."""
+    return (xor_rows(rows, mask) for mask in range(1 << len(rows)))
 
-    Every nonzero dual word becomes a (weight, int) tuple; the list is
-    sorted and truncated to the target count.
-    """
+
+def sorted_enumeration_oracle(c, target_count):
+    """The exhaustive dual-word search as a plain int loop: the first
+    target_count nonzero dual words in (weight, value) order."""
     hrows = [c.h.row_bits(i) for i in range(c.n - c.k)]
-    found = []
-    for _, chunk in _iter_combination_chunks(hrows, c.n):
-        w = _weights(chunk)
-        keep = np.nonzero(w > 0)[0]
-        found.extend((int(w[i]), int.from_bytes(chunk[i].tobytes(), "little"))
-                     for i in keep)
-        if len(found) > 4 * target_count:
-            found.sort()
-            del found[target_count:]
-    found.sort()
-    return DualWordPool(tuple(v for _, v in found[:target_count]), c.n)
+    words = heapq.nsmallest(target_count, filter(None, span_words(hrows)),
+                            key=lambda v: (v.bit_count(), v))
+    return DualWordPool(tuple(words), c.n)
 
 
 def bits_to_int(bits) -> int:
@@ -123,6 +118,19 @@ def test_weight_distribution_matches_enumeration():
         counts = np.bincount(table.sum(axis=1), minlength=c.n + 1)
         grows = [c.g.row_bits(i) for i in range(c.k)]
         assert weight_distribution(grows, c.n) == counts.tolist()
+
+
+def test_weight_distribution_across_many_chunks(monkeypatch):
+    # 8-row chunks of two packed words: every buffer is refilled 2^16 times
+    monkeypatch.setattr(codes, "_CHUNK_BITS", 3)
+    rng = np.random.default_rng(58)
+    c = random_code(rng, 70, 51)
+    grows = [c.g.row_bits(i) for i in range(c.k)]
+    assert c.k == 19
+    counts = Counter(w.bit_count() for w in span_words(grows))
+    want = [counts[j] for j in range(c.n + 1)]
+    assert weight_distribution(grows, c.n) == want
+    assert min_distance(c) == min(j for j in counts if j)
 
 
 def test_min_distance_primal_vs_dual(monkeypatch):
@@ -231,6 +239,18 @@ def test_low_weight_search_matches_sorted_enumeration():
         else:
             targets = (1, 7, 300)
         for target in targets:
+            pool = low_weight_dual_search(c, target)
+            assert pool == sorted_enumeration_oracle(c, target), (n, r, target)
+
+
+def test_low_weight_search_across_many_chunks(monkeypatch):
+    # 8-word chunks: the cutoff falls across many chunk boundaries, so a pool
+    # that kept a view of a refilled buffer instead of a copy would differ
+    monkeypatch.setattr(codes, "_CHUNK_BITS", 3)
+    rng = np.random.default_rng(59)
+    for n, r in ((12, 7), (70, 10), (130, 12), (40, 16)):
+        c = random_code(rng, n, r)
+        for target in (1, 7, 300, (1 << r) - 1, 1 << r):
             pool = low_weight_dual_search(c, target)
             assert pool == sorted_enumeration_oracle(c, target), (n, r, target)
 
