@@ -66,6 +66,10 @@ def _cmd_construct(args, parser: _Parser) -> int:
         parser.error(f"need 0 < k < n, got n={args.n} k={args.k}")
     if args.delta < 0:
         parser.error("delta must be non-negative")
+    if args.delta > args.n * (args.n - 1):
+        return _fail(f"--delta={args.delta} impossible for n={args.n}: T has "
+                     f"at most n*(n-1) = {args.n * (args.n - 1)} entries "
+                     f"beyond a permutation")
     if args.max_resamples < 1:
         return _fail(f"--max-resamples must be at least 1, "
                      f"got {args.max_resamples}")
@@ -192,18 +196,24 @@ def _cmd_simulate(args) -> int:
             code_dir = (base / raw["dir"]).resolve()
             h = _read_matrix(code_dir / "H.txt")
             t_path = code_dir / "T.txt"
-            t = _read_matrix(t_path) if t_path.exists() else None
+            if not t_path.exists():
+                t_path = None
         elif "h" in raw:
             h = _read_matrix((base / raw["h"]).resolve())
-            t = _read_matrix((base / raw["t"]).resolve()) if "t" in raw \
-                else None
+            t_path = (base / raw["t"]).resolve() if "t" in raw else None
         else:
             return _fail("config needs either dir= or h=")
+        t = None if t_path is None else _read_matrix(t_path)
         code = LinearCode.from_pcm(h)
         spec = DecoderSpec(kind=raw.get("decoder", ""),
                            **_sim_fields(raw, DecoderSpec))
         # run_sweep checks what the decoder kind needs of it
-        aut = None if t is None else GeneralizedAutomorphism.from_matrix(t)
+        aut = None
+        if t is not None:
+            try:
+                aut = GeneralizedAutomorphism.from_matrix(t)
+            except ValueError as e:
+                raise ValueError(f"{t_path}: {e}") from None
         if "ebn0_db" not in raw:
             return _fail("config needs ebn0_db=")
         cfg = SweepConfig(**_sim_fields(raw, SweepConfig))
@@ -230,6 +240,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# the n x n matrices that construct writes beside H
+_SQUARE_FILES = ("T.txt", "T_inv.txt", "T_sq.txt", "A.txt")
+
+
 def _cmd_verify(args) -> int:
     d = Path(args.code_dir)
     try:
@@ -242,13 +256,15 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"{d / 'manifest.txt'}: {e}") from None
         h = read_dense(d / "H.txt")
         h_alist = read_alist(d / "H.alist")
-        t = read_dense(d / "T.txt")
-        t_inv = read_dense(d / "T_inv.txt")
-        t_sq = read_dense(d / "T_sq.txt")
-        a = read_dense(d / "A.txt")
+        square = [read_dense(d / name) for name in _SQUARE_FILES]
         code = LinearCode.from_pcm(h)
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
+    for name, m in zip(_SQUARE_FILES, square):
+        if m.shape != (code.n, code.n):
+            return _fail(f"{d / name}: shape {m.shape} does not match the "
+                         f"code's {(code.n, code.n)}")
+    t, t_inv, t_sq, a = square
     r = code.n - code.k
     eye = BitMatrix.identity(code.n)
     normal = code.h @ a

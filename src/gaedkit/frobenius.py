@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .gf2 import (BitMatrix, Reducer, block_diagonal, char_poly,
-                  companion_matrix, invert, rank, solve_left, xor_rows)
+from .gf2 import (BitMatrix, Reducer, block_diagonal, invert, rank,
+                  solve_left, xor_rows)
 from .gf2poly import ONE, Gf2Poly, coprime_split, factor, poly_lcm
 
 
@@ -37,6 +37,77 @@ class FrobeniusForm:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(f.degree for f in self.blocks)
+
+
+def companion_matrix(f: Gf2Poly) -> BitMatrix:
+    """Companion matrix of a nonzero polynomial.
+
+    Convention used across this package: ones on the subdiagonal and the
+    coefficients of f (lowest degree first) down the last column.
+    """
+    d = f.degree
+    if d < 1:
+        raise ValueError("companion matrix needs degree >= 1")
+    rows = []
+    for i in range(d):
+        r = (1 << (i - 1)) if i > 0 else 0
+        if (f.bits >> i) & 1:
+            r |= 1 << (d - 1)
+        rows.append(r)
+    return BitMatrix(rows, d)
+
+
+def char_poly(m: BitMatrix) -> Gf2Poly:
+    """Characteristic polynomial via similarity reduction to Hessenberg form.
+
+    Pivot deficiencies are handled with simultaneous row/column swaps and the
+    eliminations are paired row/column updates, so the spectrum is preserved
+    exactly over GF(2). The matrix is held as one int with row i in bits
+    [i n, (i + 1) n), so every row or column operation is a few whole-int
+    shifts and XORs.
+    """
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    if n == 0:
+        return Gf2Poly(1)
+    row_mask = (1 << n) - 1
+    col0 = sum(1 << (i * n) for i in range(n))  # column 0 of every row
+    a = sum(row << (i * n) for i, row in enumerate(m))
+
+    for c in range(n - 2):
+        below = ((a >> c) & col0) >> ((c + 1) * n)  # column c, rows > c
+        if not below:
+            continue
+        piv = c + 1 + ((below & -below).bit_length() - 1) // n
+        if piv != c + 1:
+            d = ((a >> ((c + 1) * n)) ^ (a >> (piv * n))) & row_mask
+            a ^= (d << ((c + 1) * n)) | (d << (piv * n))
+            d = ((a >> (c + 1)) ^ (a >> piv)) & col0
+            a ^= (d << (c + 1)) | (d << piv)
+        rest = ((a >> c) & col0) >> ((c + 2) * n)  # rows to clear
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = c + 2 + (low.bit_length() - 1) // n
+            a ^= ((a >> ((c + 1) * n)) & row_mask) << (r * n)
+            a ^= ((a >> r) & col0) << (c + 1)
+    a = [(a >> (i * n)) & row_mask for i in range(n)]
+
+    # p_k = (x + a_kk) p_{k-1} + sum_i a_{i,k} (prod of subdiagonals) p_{i-1},
+    # each p_k an int bitset of coefficients (bit i = coefficient of x^i)
+    p = [1]
+    for k in range(1, n + 1):
+        term = (p[k - 1] << 1) ^ (p[k - 1] if (a[k - 1] >> (k - 1)) & 1 else 0)
+        sub = 1
+        for i in range(k - 1, 0, -1):
+            sub &= (a[i] >> (i - 1)) & 1
+            if not sub:
+                break
+            if (a[i - 1] >> (k - 1)) & 1:
+                term ^= p[i - 1]
+        p.append(term)
+    return Gf2Poly(p[n])
 
 
 _Tables = tuple[list[int], ...]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
+from .gf2 import Reducer
 
 
 def _even_bit_mask(nbits: int) -> int:
@@ -165,111 +165,53 @@ def _pow2k_mod(a: Gf2Poly, k: int, mod: Gf2Poly) -> Gf2Poly:
     return r
 
 
-def squarefree_decomposition(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
-    """Write f as a product of pairwise-coprime squarefree parts.
-
-    Returns [(g, m), ...] with f = prod g^m, each g squarefree and the
-    multiplicities m distinct. Characteristic-2 variant: whenever the
-    derivative vanishes, f is a perfect square and the recursion halves it.
-    """
-    if f.degree < 1:
-        return []
-    out: dict[int, Gf2Poly] = {}
-
-    def accumulate(g: Gf2Poly, m: int) -> None:
-        if g.degree >= 1:
-            out[m] = out[m] * g if m in out else g
-
-    df = f.derivative()
-    if df.is_zero():
-        for g, m in squarefree_decomposition(f.sqrt()):
-            accumulate(g, 2 * m)
-    else:
-        c = poly_gcd(f, df)
-        w = f // c
-        i = 1
-        while not w.is_one():
-            y = poly_gcd(w, c)
-            accumulate(w // y, i)
-            w = y
-            c = c // y
-            i += 1
-        if not c.is_one():
-            for g, m in squarefree_decomposition(c.sqrt()):
-                accumulate(g, 2 * m)
-    return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
-
-
-def distinct_degree_split(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
-    """Split a squarefree f into parts whose irreducible factors share a degree.
-
-    Returns [(g, d), ...]: g is the product of all irreducible factors of f
-    of degree exactly d.
-    """
-    out = []
-    h = X % f
-    g = f
-    d = 0
-    while g.degree > 0:
-        d += 1
-        if 2 * d > g.degree:
-            out.append((g, g.degree))
-            break
-        h = h.square() % g
-        part = poly_gcd(g, h + X)
-        if part.degree > 0:
-            out.append((part, d))
-            g = g // part
-            h = h % g
-    return out
-
-
-def _equal_degree_factor(f: Gf2Poly, d: int, rng: np.random.Generator) -> list[Gf2Poly]:
-    """Factor a squarefree product of degree-d irreducibles (Cantor-Zassenhaus).
-
-    The GF(2) trace map sum_{i<d} u^(2^i) splits f with probability about 1/2
-    per random u, so the expected number of draws is small.
-    """
-    if f.degree == d:
-        return [f]
-    while True:
-        nbits = f.degree
-        word_count = (nbits + 63) // 64
-        u_bits = 0
-        for w in rng.integers(0, 2**63, size=2 * word_count, dtype=np.int64):
-            u_bits = (u_bits << 63) | int(w)
-        u = Gf2Poly(u_bits % (1 << nbits)) % f
-        if u.degree < 1:
-            continue
-        trace = u
-        term = u
-        for _ in range(d - 1):
-            term = term.square() % f
-            trace = trace + term
-        g = poly_gcd(f, trace)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_factor(g, d, rng) + _equal_degree_factor(f // g, d, rng)
-
-
 def factor(f: Gf2Poly) -> list[tuple[Gf2Poly, int]]:
-    """Full factorization of f into irreducibles over GF(2).
+    """Full factorization of f into irreducibles over GF(2), by Berlekamp.
 
     Returns [(p, e), ...] sorted by (degree, bits); the product of p^e
-    recovers f. Internal randomness is seeded from f itself, so the call is
-    deterministic.
+    recovers f. The kernel of v -> v^2 + v mod f holds exactly the v that
+    are 0 or 1 modulo each prime power p^e of f, so its dimension is the
+    number of distinct primes, and gcds with a basis of it split f into
+    those prime powers. No step draws a random number.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree < 1:
+    n = f.degree
+    if n < 1:
         return []
-    rng = np.random.default_rng(np.random.SeedSequence(f.bits))
-    found: dict[int, int] = {}
-    for g, mult in squarefree_decomposition(f):
-        for part, d in distinct_degree_split(g):
-            for p in _equal_degree_factor(part, d, rng):
-                found[p.bits] = found.get(p.bits, 0) + mult
-    out = sorted(((Gf2Poly(b), e) for b, e in found.items()),
-                 key=lambda t: (t[0].degree, t[0].bits))
+    # row i is x^(2i) + x^i mod f, the image of x^i; a row in the span of
+    # the rows before it gives the kernel vector witness + x^i
+    span = Reducer()
+    kernel = []
+    sq = 1  # x^(2i) mod f
+    for i in range(n):
+        v, combo = span.reduce(sq ^ (1 << i))
+        if v:
+            span.insert(v, combo ^ (1 << i))
+        elif i:  # the constant 1 splits nothing
+            kernel.append(Gf2Poly(combo ^ (1 << i)))
+        sq <<= 2
+        if sq >> (n + 1):
+            sq ^= f.bits << 1
+        if sq >> n:
+            sq ^= f.bits
+    parts = [f]
+    for v in kernel:
+        if len(parts) > len(kernel):  # one part per prime: all split
+            break
+        split = []
+        for g in parts:
+            d = poly_gcd(g, v)
+            split += [d, g // d] if 0 < d.degree < g.degree else [g]
+        parts = split
+    out = []
+    for q in parts:
+        p = q
+        while p.derivative().is_zero():
+            p = p.sqrt()
+        p = p // poly_gcd(p, p.derivative())
+        out.append((p, q.degree // p.degree))
+    out.sort(key=lambda t: (t[0].degree, t[0].bits))
     check = ONE
     for p, e in out:
         check = check * p ** e

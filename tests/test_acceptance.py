@@ -21,7 +21,7 @@ from gaedkit import (BitMatrix, BpConfig, DecoderSpec, GaedEnsemble,
                      random_z_block, rank, run_sweep, verify_automorphism)
 from gaedkit.decoders import (PreprocessPlan, TannerGraph, bp_min_sum_batch,
                               ml_decode_batch)
-from gaedkit.gf2 import char_poly
+from gaedkit.frobenius import char_poly
 
 SEED_32 = 6   # (32, 16) design with a weight-42 automorphism
 SEED_39 = 17  # (39, 24) design whose automorphism is a plain permutation

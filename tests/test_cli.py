@@ -81,6 +81,23 @@ def test_verify_rejects_non_integer_manifest_weights(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["T.txt", "T_inv.txt", "T_sq.txt", "A.txt"])
+def test_verify_rejects_matrix_of_the_wrong_size(tmp_path, capsys, name):
+    rc, out = construct(tmp_path)
+    assert rc == 0
+    good = read_dense(out / name)
+    for shape in ((15, 15), (3, 4)):
+        write_dense(BitMatrix.identity(shape[1]).take_rows(range(shape[0])),
+                    out / name)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2, shape
+        err = capsys.readouterr().err
+        assert name in err and str(shape) in err and "(16, 16)" in err, err
+        assert "Traceback" not in err
+    write_dense(good, out / name)
+    assert main(["verify", str(out)]) == 0
+
+
 def test_verify_missing_dir(tmp_path, capsys):
     rc = main(["verify", str(tmp_path / "nowhere")])
     assert rc == 2
@@ -103,6 +120,17 @@ def test_construct_impossible_delta_is_validation_error(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "impossible" in capsys.readouterr().err
+
+
+def test_construct_names_delta_above_its_bound(tmp_path, capsys):
+    out = tmp_path / "c8"
+    rc = main(["construct", "-n", "8", "-k", "4", "--delta", "100",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--delta" in err and "n*(n-1) = 56" in err, err
+    assert "omega_obj" not in err
+    assert not out.exists()
 
 
 def test_construct_rejects_bad_budget_and_seed(tmp_path, capsys):
@@ -330,6 +358,29 @@ def test_simulate_rejects_singular_t(tmp_path, capsys, no_frames):
         err = capsys.readouterr().err
         assert "singular" in err, decoder
         assert "Traceback" not in err
+
+
+def test_simulate_names_the_t_file(tmp_path, capsys, no_frames):
+    rc, out = construct(tmp_path)
+    assert rc == 0
+    write_dense(BitMatrix.identity(4).take_rows(range(3)), tmp_path / "T34.txt")
+    cfgf = tmp_path / "t.cfg"
+    write_sim_config(cfgf, [f"h = {out.name}/H.txt", "decoder = gaed",
+                            "t = T34.txt", "ebn0_db = 3.0"])
+    capsys.readouterr()
+    assert main(["simulate", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    t34 = (tmp_path / "T34.txt").resolve()
+    assert f"{t34}: inverse requires a square matrix" in err
+    assert "Traceback" not in err
+    # a singular T.txt read through dir=
+    write_dense(BitMatrix.from_rows([[1] + [0] * 15] * 16), out / "T.txt")
+    write_sim_config(cfgf, [f"dir = {out.name}", "decoder = gaed",
+                            "ebn0_db = 3.0"])
+    assert main(["simulate", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert f"{(out / 'T.txt').resolve()}: matrix is singular" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("decoder", ["bp", "gaed", "rr", "osd"])

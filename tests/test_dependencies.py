@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency, in the imports and in the
-metadata, and no module keeps hidden state behind a `global` statement."""
+metadata, no module keeps hidden state behind a `global` statement, and
+the modules import each other without a cycle."""
 
 import ast
 import re
@@ -41,6 +42,45 @@ def test_package_has_no_global_statements():
     found = [f"{name}:{node.lineno}: global {', '.join(node.names)}"
              for name, node in package_nodes() if isinstance(node, ast.Global)]
     assert not found, found
+
+
+def package_imports():
+    """Module stem -> the package modules it imports, anywhere in its body."""
+    graph = {path.stem: set()
+             for path in (ROOT / "src" / "gaedkit").glob("*.py")}
+    for name, node in package_nodes():
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = node.module
+        elif (node.module or "").partition(".")[0] == "gaedkit":
+            base = node.module.partition(".")[2]
+        else:
+            continue
+        targets = ([base.partition(".")[0]] if base
+                   else [alias.name for alias in node.names])
+        graph[name[:-3]] |= {t for t in targets if t in graph}
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = package_imports()
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, " -> ".join(path + [module])
+        if module not in done:
+            for dep in sorted(graph[module]):
+                visit(dep, path + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_gf2_is_the_bottom_layer():
+    # gf2poly builds on gf2's span tracker, so gf2 may import nothing back
+    assert package_imports()["gf2"] == set()
 
 
 def test_declared_dependencies_are_numpy_only():

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from gaedkit import frobenius, gf2poly
 from gaedkit.frobenius import (FrobeniusForm, _byte_tables, _conductor,
-                               _times, frobenius_normal_form,
-                               invariant_factors)
-from gaedkit.gf2 import (BitMatrix, Reducer, block_diagonal, char_poly,
-                         companion_matrix, invert, rank, solve_left, xor_rows)
+                               _times, char_poly, companion_matrix,
+                               frobenius_normal_form, invariant_factors)
+from gaedkit.gf2 import (BitMatrix, Reducer, block_diagonal, invert, rank,
+                         solve_left, xor_rows)
 from gaedkit.gf2poly import (ONE, Gf2Poly, coprime_split, factor,
                              is_irreducible, poly_lcm)
 

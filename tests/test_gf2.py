@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaedkit.frobenius import char_poly, companion_matrix
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, bits_to_words,
-                         block_diagonal, char_poly, column_reduce,
-                         companion_matrix, independent_rows, ints_to_words,
-                         invert, null_space_basis, rank, solve_left,
-                         words_to_bits, words_to_ints, xor_rows)
+                         block_diagonal, column_reduce, independent_rows,
+                         ints_to_words, invert, null_space_basis, rank,
+                         solve_left, words_to_bits, words_to_ints, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 

@@ -1,13 +1,16 @@
 """Polynomial arithmetic over GF(2), factorization, irreducibility."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaedkit.gf2poly import (ONE, X, ZERO, Gf2Poly, coprime_split,
-                             distinct_degree_split, factor, is_irreducible,
-                             poly_gcd, poly_lcm, squarefree_decomposition)
+from gaedkit.automorphisms import sample_sparse_invertible
+from gaedkit.frobenius import char_poly
+from gaedkit.gf2poly import (ONE, X, ZERO, Gf2Poly, coprime_split, factor,
+                             is_irreducible, poly_gcd, poly_lcm)
 
 
 def poly(*exponents):
@@ -114,23 +117,6 @@ def test_coprime_split_equal_inputs():
     assert u * v == poly_lcm(f, f) == f
 
 
-def test_squarefree_decomposition():
-    rng = np.random.default_rng(7)
-    for _ in range(150):
-        f = Gf2Poly(int(rng.integers(2, 1 << 12)))
-        parts = squarefree_decomposition(f)
-        mults = [m for _, m in parts]
-        assert mults == sorted(set(mults))
-        prod = ONE
-        for base, mult in parts:
-            assert base.degree >= 1
-            # squarefree over GF(2): nonzero derivative and trivial gcd with it
-            assert poly_gcd(base, base.derivative()) == ONE
-            for _ in range(mult):
-                prod = prod * base
-        assert prod == f
-
-
 def test_known_irreducibles():
     assert is_irreducible(poly(1, 0))          # x + 1
     assert is_irreducible(poly(2, 1, 0))       # x^2 + x + 1
@@ -160,23 +146,25 @@ def test_irreducible_matches_trial_division():
         assert is_irreducible(f) == trial_division_irreducible(f), str(f)
 
 
+def check_factorization(f, got):
+    """The unique factorization: irreducible, distinct, sorted, product f."""
+    keys = [(p.degree, p.bits) for p, _ in got]
+    assert keys == sorted(set(keys))
+    prod = ONE
+    for p, e in got:
+        assert e >= 1
+        assert is_irreducible(p), str(p)
+        prod = prod * p ** e
+    assert prod == f
+
+
 def test_factor_roundtrip_and_determinism():
     rng = np.random.default_rng(8)
     for _ in range(150):
         f = Gf2Poly(int(rng.integers(2, 1 << 20)))
         parts = factor(f)
         assert parts == factor(f)
-        prod = ONE
-        last = None
-        for p, e in parts:
-            assert is_irreducible(p)
-            assert e >= 1
-            key = (p.degree, p.bits)
-            assert last is None or last < key
-            last = key
-            for _ in range(e):
-                prod = prod * p
-        assert prod == f
+        check_factorization(f, parts)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -211,9 +199,45 @@ def test_factor_known_cases():
         factor(ZERO)
 
 
-def test_distinct_degree_split():
-    f = poly(1, 0) * poly(2, 1, 0) * poly(3, 1, 0) * poly(3, 2, 0)
-    got = {d: g for g, d in distinct_degree_split(f)}
-    assert got[1] == poly(1, 0)
-    assert got[2] == poly(2, 1, 0)
-    assert got[3] == poly(3, 1, 0) * poly(3, 2, 0)
+def first_irreducibles(degree, count):
+    """Up to `count` of the smallest irreducibles of the given degree."""
+    found = (Gf2Poly(b) for b in range(1 << degree, 2 << degree))
+    return list(islice(filter(is_irreducible, found), count))
+
+
+def test_factor_large_products_of_known_irreducibles():
+    # degree 64 and up, exponents up to 8: well past the degree-20 inputs
+    # above
+    rng = np.random.default_rng(9)
+    pool = [p for d in (1, 2, 3, 5, 7, 8, 11, 13, 16, 23, 31)
+            for p in first_irreducibles(d, 3)]
+    checked = 0
+    while checked < 20:
+        picks = rng.choice(len(pool), size=int(rng.integers(2, 7)),
+                           replace=False)
+        want = {pool[i]: int(rng.integers(1, 9)) for i in picks}
+        f = ONE
+        for p, e in want.items():
+            f = f * p ** e
+        if f.degree < 64:
+            continue
+        got = factor(f)
+        check_factorization(f, got)
+        assert dict(got) == want
+        checked += 1
+
+
+def test_factor_perfect_powers():
+    cases = [(X, 64), (poly(1, 0), 64), (poly(2, 1, 0), 8),
+             (poly(8, 4, 3, 2, 0), 8), (poly(31, 3, 0), 4)]
+    for p, e in cases:
+        assert factor(p ** e) == [(p, e)], str(p)
+    f = poly(1, 0) ** 64 * poly(2, 1, 0) ** 32 * X ** 3
+    assert factor(f) == [(X, 3), (poly(1, 0), 64), (poly(2, 1, 0), 32)]
+
+
+def test_factor_char_polys_of_sparse_matrices():
+    # the polynomials that code construction factors, at n = 64
+    for seed in range(12):
+        f = char_poly(sample_sparse_invertible(64, 80, seed))
+        check_factorization(f, factor(f))
