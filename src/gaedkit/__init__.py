@@ -13,7 +13,7 @@ from .codes import (DualWordPool, LinearCode, ReductionError,
 from .decoders import (BpConfig, DecodeOutcome, GaedEnsemble, box_plus,
                        osd_decode, power_ensemble, stack_redundant_pcm)
 from .frobenius import FrobeniusForm, frobenius_normal_form
-from .gf2 import BitMatrix, SingularMatrixError, column_reduce, invert, rank
+from .gf2 import BitMatrix, SingularMatrixError, invert, rank
 from .gf2poly import Gf2Poly, factor, is_irreducible, poly_gcd, poly_lcm
 from .matio import (read_alist, read_dense, read_kv, write_alist, write_dense,
                     write_kv)
@@ -29,7 +29,7 @@ __all__ = [
     "FrobeniusForm", "GaedEnsemble", "GeneralizedAutomorphism", "Gf2Poly",
     "LLR_CLAMP", "LinearCode", "LlrVector", "ReductionError",
     "SingularMatrixError", "SweepConfig", "ZBlockMatrix", "awgn_llr_batch",
-    "box_plus", "column_reduce", "compute_ccm", "conjugate_z",
+    "box_plus", "compute_ccm", "conjugate_z",
     "construct_code_with_automorphism", "factor", "format_records",
     "four_cycle_count", "frobenius_normal_form", "invert", "is_irreducible",
     "low_weight_dual_search", "membership_in_z", "min_distance",

@@ -87,6 +87,8 @@ def _cmd_construct(args, parser: _Parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     code, aut = res.code, res.aut
+    # a zero column of H is a coordinate no check sees: dmin is then 1
+    unchecked = [j for j, col in enumerate(code.h.transpose()) if not col]
     write_dense(code.h, out / "H.txt")
     write_alist(code.h, out / "H.alist")
     write_dense(aut.matrix, out / "T.txt")
@@ -103,13 +105,15 @@ def _cmd_construct(args, parser: _Parser) -> int:
         "ordering_failures": res.ordering_failures,
         "reduction_failures": res.reduction_failures,
         "frozen_positions": ",".join(map(str, res.frozen_positions)),
+        "unchecked_positions": ",".join(map(str, unchecked)),
     }, out / "manifest.txt")
     print(f"constructed ({code.n},{code.k}) code in {out}")
     print(f"omega(T)={aut.omega} omega(T^-1)={aut.inverse.weight} "
           f"omega(T^2)={res.t_squared.weight} delta(T)={aut.delta}")
     print(f"attempts={res.attempts} ordering_failures={res.ordering_failures} "
           f"reduction_failures={res.reduction_failures} "
-          f"dropped_positions={len(res.frozen_positions)}")
+          f"dropped_positions={len(res.frozen_positions)} "
+          f"unchecked_positions={len(unchecked)}")
     return 0
 
 

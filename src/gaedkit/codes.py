@@ -309,7 +309,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     best_rows: list[int] = []
     for trial in range(_PCM_TRIALS):
         if trial == 0:
-            order = sorted(range(len(words)), key=lambda i: (weights[i], words[i]))
+            order = range(len(words))  # the pool's own (weight, value) order
         else:
             # the jitter is a permutation, so it breaks every weight tie
             order = np.lexsort((rng.permutation(len(words)), weights)).tolist()

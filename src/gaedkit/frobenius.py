@@ -2,8 +2,9 @@
 
 The decomposition writes any square t as t = S^-1 @ F @ S with F a block
 diagonal of companion matrices. The invariant factors of t are computed
-first: char_poly(t) is factored once, and for each prime of multiplicity
-above 1 the kernel dimensions of p(t)^j give the exponents of its blocks.
+first: char_poly(t), the product of the Krylov chain polynomials of the unit
+vectors, is factored once, and for each prime of multiplicity above 1 the
+kernel dimensions of p(t)^j give the exponents of its blocks.
 Blocks are then produced by iterated cyclic deflation: round r scans unit
 vectors for one whose annihilator modulo the space already spanned reaches
 the r-th largest invariant factor, corrects it to an exact annihilator, and
@@ -11,9 +12,11 @@ appends its cyclic chain. The same per-prime exponents split each
 invariant-factor block into prime-power components, which gives the finest
 companion-block decomposition the matrix admits.
 
-Column vectors are int bitsets (bit i = coordinate i), matching BitMatrix.
-Products t @ v go through per-byte XOR tables of t's columns, built once per
-matrix, so each costs one lookup per byte of v.
+Every conductor, of char_poly's chains and of the deflation's scan, comes
+from one loop (`_chain`) on a gf2.Reducer span tracker. Column vectors are
+int bitsets (bit i = coordinate i), matching BitMatrix. Products t @ v go
+through per-byte XOR tables of t's columns, built once per matrix, so each
+costs one lookup per byte of v.
 """
 
 from __future__ import annotations
@@ -57,59 +60,6 @@ def companion_matrix(f: Gf2Poly) -> BitMatrix:
     return BitMatrix(rows, d)
 
 
-def char_poly(m: BitMatrix) -> Gf2Poly:
-    """Characteristic polynomial via similarity reduction to Hessenberg form.
-
-    Pivot deficiencies are handled with simultaneous row/column swaps and the
-    eliminations are paired row/column updates, so the spectrum is preserved
-    exactly over GF(2). The matrix is held as one int with row i in bits
-    [i n, (i + 1) n), so every row or column operation is a few whole-int
-    shifts and XORs.
-    """
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    if n == 0:
-        return Gf2Poly(1)
-    row_mask = (1 << n) - 1
-    col0 = sum(1 << (i * n) for i in range(n))  # column 0 of every row
-    a = sum(row << (i * n) for i, row in enumerate(m))
-
-    for c in range(n - 2):
-        below = ((a >> c) & col0) >> ((c + 1) * n)  # column c, rows > c
-        if not below:
-            continue
-        piv = c + 1 + ((below & -below).bit_length() - 1) // n
-        if piv != c + 1:
-            d = ((a >> ((c + 1) * n)) ^ (a >> (piv * n))) & row_mask
-            a ^= (d << ((c + 1) * n)) | (d << (piv * n))
-            d = ((a >> (c + 1)) ^ (a >> piv)) & col0
-            a ^= (d << (c + 1)) | (d << piv)
-        rest = ((a >> c) & col0) >> ((c + 2) * n)  # rows to clear
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r = c + 2 + (low.bit_length() - 1) // n
-            a ^= ((a >> ((c + 1) * n)) & row_mask) << (r * n)
-            a ^= ((a >> r) & col0) << (c + 1)
-    a = [(a >> (i * n)) & row_mask for i in range(n)]
-
-    # p_k = (x + a_kk) p_{k-1} + sum_i a_{i,k} (prod of subdiagonals) p_{i-1},
-    # each p_k an int bitset of coefficients (bit i = coefficient of x^i)
-    p = [1]
-    for k in range(1, n + 1):
-        term = (p[k - 1] << 1) ^ (p[k - 1] if (a[k - 1] >> (k - 1)) & 1 else 0)
-        sub = 1
-        for i in range(k - 1, 0, -1):
-            sub &= (a[i] >> (i - 1)) & 1
-            if not sub:
-                break
-            if (a[i - 1] >> (k - 1)) & 1:
-                term ^= p[i - 1]
-        p.append(term)
-    return Gf2Poly(p[n])
-
-
 _Tables = tuple[list[int], ...]
 
 
@@ -148,18 +98,41 @@ def _apply_poly(tables: _Tables, f: Gf2Poly, v: int) -> int:
     return acc
 
 
-def _conductor(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:
-    """Minimal monic f with f(t) @ u inside the given span.
+def _chain(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:
+    """Minimal monic f with f(t) @ u inside the span; the span grows by
+    u's cyclic chain modulo it.
 
-    Builds the cyclic chain of u in the quotient by the span; the witness
-    bits of the first dependence are exactly the low coefficients of f.
+    Vector t^j @ u goes in with tag 1 << (start + j), start being the span's
+    size on entry, until one is dependent; that vector's witness bits from
+    bit start up are exactly the low coefficients of f.
     """
-    local = span.copy()
+    start = len(span)
     j = 0
-    while local.insert(u, 1 << j):
+    while span.insert(u, 1 << (start + j)):
         u = _times(tables, u)
         j += 1
-    return Gf2Poly((1 << j) ^ local.reduce(u)[1])
+    return Gf2Poly((1 << j) ^ (span.reduce(u)[1] >> start))
+
+
+def _conductor(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:
+    """Minimal monic f with f(t) @ u inside the given span, left unchanged."""
+    return _chain(tables, span.copy(), u)
+
+
+def char_poly(m: BitMatrix) -> Gf2Poly:
+    """Characteristic polynomial from Krylov chains (Keller-Gehrig).
+
+    The chains of the unit vectors, each taken modulo the span of the ones
+    before, fill the whole space; in that basis m is block upper triangular
+    with one companion block per chain, so char_poly is the product of the
+    chains' polynomials. A unit vector already in the span closes with 1.
+    """
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    tables = _byte_tables(m)
+    span = Reducer()
+    return prod((_chain(tables, span, 1 << i) for i in range(n)), start=ONE)
 
 
 def invariant_factors(t: BitMatrix) -> list[list[tuple[Gf2Poly, int]]]:

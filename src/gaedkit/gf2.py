@@ -332,36 +332,6 @@ def solve_left(m: BitMatrix, y: int) -> int | None:
     return None if v else combo
 
 
-def column_reduce(h: BitMatrix) -> BitMatrix:
-    """Invertible A with h @ A = [I | 0]; h must have full row rank.
-
-    Runs Gauss-Jordan with column operations only, accumulated into A, so the
-    row space of h is untouched and h @ A lands exactly on the identity block
-    followed by zero columns.
-    """
-    m, n = h.shape
-    if m > n:
-        raise ValueError("more rows than columns")
-    # operate on the transpose: column ops on h are row ops on h^T
-    work = list(h.transpose())           # n rows of width m
-    acc = [1 << i for i in range(n)]     # accumulates A^T
-    for col in range(m):                 # pivot position (col, col) of h
-        piv = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError("parity-check matrix is rank deficient")
-        work[col], work[piv] = work[piv], work[col]
-        acc[col], acc[piv] = acc[piv], acc[col]
-        for i in range(n):
-            if i != col and (work[i] >> col) & 1:
-                work[i] ^= work[col]
-                acc[i] ^= acc[col]
-    return BitMatrix(acc, n).transpose()
-
-
 def block_diagonal(blocks: Sequence[BitMatrix]) -> BitMatrix:
     rows = []
     offset = 0

@@ -47,6 +47,8 @@ class Gf2Poly:
 
     def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
         a, b, acc = self.bits, other.bits, 0
+        if a.bit_count() > b.bit_count():
+            a, b = b, a  # loop over the sparser factor's terms
         while a:
             low = a & -a
             acc ^= b << low.bit_length() - 1

@@ -111,6 +111,39 @@ def test_ccm_identities_and_alternates():
             assert membership_in_z(ccm, t) == membership_in_z(alt, t)
 
 
+def leading_columns(rows):
+    """Leading bits of the row space, by an inline XOR basis kept in
+    descending order of leading bit."""
+    basis = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return {b.bit_length() - 1 for b in basis}
+
+
+def test_ccm_is_h_over_unit_rows_and_ends_in_g():
+    rng = np.random.default_rng(66)
+    for _ in range(60):
+        n = int(rng.integers(2, 72))
+        r = int(rng.integers(1, n))
+        h = random_code(rng, n, r).h
+        if n - r > 1 and rng.random() < 0.5:
+            # zero columns of H: coordinates no check sees
+            cleared = sum(1 << int(j) for j in rng.choice(
+                n, size=int(rng.integers(1, n - r)), replace=False))
+            h = BitMatrix((row & ~cleared for row in h), n)
+        if rank(h) < r:
+            continue
+        c = LinearCode.from_pcm(h)
+        ccm = compute_ccm(c)
+        lead = leading_columns(c.h)
+        assert list(ccm.basis_inv) == list(c.h) + [
+            1 << f for f in range(n) if f not in lead]
+        assert list(ccm.basis.transpose())[r:] == list(c.g)
+
+
 def test_ccm_rejects_bad_basis():
     c = LinearCode.from_pcm(HAMMING_74_H)
     eye = BitMatrix.identity(7)

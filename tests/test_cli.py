@@ -52,6 +52,20 @@ def test_construct_then_verify_roundtrip(tmp_path, capsys):
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+@pytest.mark.parametrize("seed,unchecked", [(0, "4"), (9, "")])
+def test_construct_reports_zero_columns_of_h(tmp_path, capsys, seed,
+                                             unchecked):
+    rc, out = construct(tmp_path, seed=seed)
+    assert rc == 0
+    count = len(unchecked.split(",")) if unchecked else 0
+    third = capsys.readouterr().out.splitlines()[2]
+    assert third.endswith(f" unchecked_positions={count}")
+    assert read_kv(out / "manifest.txt")["unchecked_positions"] == unchecked
+    h = read_dense(out / "H.txt")
+    zero_cols = [j for j in range(h.cols) if not any((r >> j) & 1 for r in h)]
+    assert ",".join(map(str, zero_cols)) == unchecked
+
+
 def test_verify_catches_tampered_t(tmp_path, capsys):
     rc, out = construct(tmp_path)
     assert rc == 0

@@ -336,6 +336,21 @@ def test_identity_rounds_stop_after_one_scan(monkeypatch):
     assert Counter(span_sizes) == {r: 2 for r in range(n)}
 
 
+def test_conductor_leaves_its_span_unchanged():
+    rng = np.random.default_rng(37)
+    for n in (1, 9, 40, 70):
+        t = random_matrix(rng, n)
+        tables, tt_rows = _byte_tables(t), list(t.transpose())
+        span = Reducer()
+        for v in BitMatrix.random(n // 2, n, rng):
+            span.insert(v)
+        before = dict(span.pivots)
+        for i in range(n):
+            assert (_conductor(tables, span, 1 << i)
+                    == oracle_conductor(tt_rows, span, 1 << i))
+            assert len(span) == len(before) and span.pivots == before
+
+
 # -- byte tables and the ordering gate -------------------------------------
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 69])

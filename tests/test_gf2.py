@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gaedkit.frobenius import char_poly, companion_matrix
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, bits_to_words,
-                         block_diagonal, column_reduce, independent_rows,
-                         ints_to_words, invert, null_space_basis, rank,
-                         solve_left, words_to_bits, words_to_ints, xor_rows)
+                         block_diagonal, independent_rows, ints_to_words,
+                         invert, null_space_basis, rank, solve_left,
+                         words_to_bits, words_to_ints, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -300,25 +300,6 @@ def test_independent_rows_matches_inline_loop():
     assert list(independent_rows([0, 0])) == []
 
 
-def test_column_reduce():
-    rng = np.random.default_rng(20)
-    for _ in range(100):
-        n = int(rng.integers(2, 14))
-        r = int(rng.integers(1, n))
-        h = None
-        while h is None or rank(h) < r:
-            h = random_matrix(rng, r, n)
-        a = column_reduce(h)
-        assert rank(a) == n
-        prod = h @ a
-        for i in range(r):
-            assert prod.row_bits(i) == 1 << i
-    with pytest.raises(SingularMatrixError):
-        column_reduce(BitMatrix.from_rows([[1, 1, 0], [1, 1, 0]]))
-    with pytest.raises(ValueError):
-        column_reduce(BitMatrix.zeros(3, 2))
-
-
 def test_companion_matrix():
     # x^2 + x + 1: subdiagonal one, coefficients down the last column
     c = companion_matrix(Gf2Poly(0b111))
@@ -415,6 +396,16 @@ def test_char_poly_matches_row_list_oracle():
         # a permutation plus a few ones, like the construction's draws
         m = BitMatrix.from_numpy(np.eye(64, dtype=np.uint8)[rng.permutation(64)])
         m = m ^ BitMatrix.from_numpy((rng.random((64, 64)) < 0.004).astype(np.uint8))
+        assert char_poly(m) == row_list_char_poly_oracle(m)
+    # repeated blocks: many unit vectors close at once, with polynomial 1
+    blocks = block_diagonal([companion_matrix(Gf2Poly(0b111))] * 6
+                            + [companion_matrix(Gf2Poly(0b11) ** 3)] * 5
+                            + [BitMatrix.identity(4)]
+                            + [companion_matrix(Gf2Poly(0b1011))] * 3)
+    s = BitMatrix.random_invertible(blocks.rows, rng)
+    for m in (BitMatrix.identity(0), BitMatrix.identity(1),
+              BitMatrix.zeros(1, 1), BitMatrix.identity(64),
+              s @ blocks @ invert(s)):
         assert char_poly(m) == row_list_char_poly_oracle(m)
 
 
