@@ -13,6 +13,7 @@ matrix off the top rows of the inverse basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -262,11 +263,11 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
 
     Pipeline per attempt: sample an invertible matrix of weight n +
     delta_obj, order its companion blocks (sized by its invariant factors)
-    so a size-k subset sits in the lower-right corner, bring it to that
-    normal form, read H off the inverse basis, drop coordinates frozen at
-    zero, then re-derive a low-weight PCM. Block orderings that do not
-    exist and reductions that break invertibility are counted and
-    resampled, up to max_resamples.
+    so a size-k subset sits in the lower-right corner, bring it to normal
+    form F = S t S^-1, take H as the rows of S for the blocks outside the
+    subset, drop coordinates frozen at zero, then re-derive a low-weight
+    PCM. Block orderings that do not exist and reductions that break
+    invertibility are counted and resampled, up to max_resamples.
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
@@ -284,22 +285,17 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         # the invariant factors give the block sizes in the normal form's
         # block order, so a failed ordering skips the deflation
         factors = invariant_factors(t)
-        order = order_blocks([p.degree * e for parts in factors
-                              for p, e in parts], k)
+        sizes = [p.degree * e for parts in factors for p, e in parts]
+        order = order_blocks(sizes, k)
         if order is None:
             ordering_failures += 1
             continue
-        fb = _deflate(t, factors)
-        starts = np.concatenate(([0], np.cumsum(fb.block_sizes))).tolist()
-        col_order = [c for b in order
-                     for c in range(starts[b], starts[b] + fb.block_sizes[b])]
-        # permuting the columns of S^-1 permutes the rows of S
-        basis_inv = fb.transform.take_rows(col_order)
-        basis = invert(basis_inv)
-        conj = basis_inv @ t @ basis
-        if any(conj.row_bits(i) >> (n - k) for i in range(n - k)):
-            raise AssertionError("reordered form kept a nonzero upper-right block")
-        h = BitMatrix(list(basis_inv)[: n - k], n)
+        starts = list(accumulate(sizes, initial=0))
+        cols = [c for b in order for c in range(starts[b], starts[b + 1])]
+        # S's rows for the blocks outside the subset vanish on the subset's
+        # chain vectors, which span a t-invariant k-space as F is block
+        # diagonal: that space is H's null space
+        h = _deflate(t, factors).transform.take_rows(cols[: n - k])
         code0 = LinearCode.from_pcm(h)
         try:
             code1, t1, frozen = reduce_zero_columns(code0, t)

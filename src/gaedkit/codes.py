@@ -271,11 +271,10 @@ def check_pool(c: LinearCode, pool: DualWordPool) -> None:
     """Confirm every pool word is a dual codeword of c."""
     if pool.n != c.n:
         raise ValueError("pool length does not match the code")
-    # G @ w as the XOR of G's columns that w picks: pool words are light
-    g_cols = tuple(c.g.transpose())
-    for w in pool.words:
-        if xor_rows(g_cols, w):
-            raise ValueError("pool contains a word outside the dual code")
+    # row w of the product is G @ w, the XOR of the few columns of G that
+    # a light pool word picks
+    if not (BitMatrix(pool.words, c.n) @ c.g.transpose()).is_zero():
+        raise ValueError("pool contains a word outside the dual code")
 
 
 def four_cycle_count(m: BitMatrix) -> int:
@@ -294,18 +293,18 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     """Pick a better PCM for the same code from a pool of dual words.
 
     Greedy independent selection in weight order gives the minimum possible
-    total weight; random tie-break order within equal weights is retried
-    _PCM_TRIALS times and the (total weight, four-cycle count) lexicographic
-    best is kept. The returned code has the identical null space.
+    total weight. The dual's bases form a matroid, so every tie-break order
+    within equal weights reaches that same total, and the score is the
+    four-cycle count alone: random tie-break orders are tried _PCM_TRIALS
+    times and the first with the fewest four-cycles is kept. The returned
+    code has the identical null space.
     """
     r = c.n - c.k
     words = list(pool.words)
     check_pool(c, pool)
-    if rank(BitMatrix(words, c.n)) != r:
-        raise ValueError("pool does not span the dual code")
     weights = [w.bit_count() for w in words]
     rng = np.random.default_rng(seed)
-    best: tuple[int, int] | None = None
+    best: int | None = None
     best_rows: list[int] = []
     for trial in range(_PCM_TRIALS):
         if trial == 0:
@@ -316,8 +315,9 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
         picks = islice(independent_rows(words[i] for i in order), r)
         rows = sorted((words[order[j]] for j in picks),
                       key=lambda v: (v.bit_count(), v))
-        score = (sum(v.bit_count() for v in rows),
-                 four_cycle_count(BitMatrix(rows, c.n)))
+        if len(rows) < r:
+            raise ValueError("pool does not span the dual code")
+        score = four_cycle_count(BitMatrix(rows, c.n))
         if best is None or score < best:
             best, best_rows = score, rows
     new_h = BitMatrix(best_rows, c.n)
@@ -338,13 +338,11 @@ def reduce_zero_columns(c: LinearCode, t: BitMatrix
     """
     if t.shape != (c.n, c.n):
         raise ValueError("automorphism shape does not match the code")
-    col_union = 0
-    for i in range(c.k):
-        col_union |= c.g.row_bits(i)
-    frozen = tuple(j for j in range(c.n) if not (col_union >> j) & 1)
+    used = c.g.to_numpy().any(axis=0)
+    frozen = tuple(np.flatnonzero(~used).tolist())
     if not frozen:
         return c, t, frozen
-    active = [j for j in range(c.n) if (col_union >> j) & 1]
+    active = np.flatnonzero(used).tolist()
     t_sub = t.take_rows(active).take_cols(active)
     if rank(t_sub) != len(active):
         raise ReductionError(

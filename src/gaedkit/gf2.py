@@ -168,13 +168,7 @@ class BitMatrix:
                          other.cols)
 
     def transpose(self) -> "BitMatrix":
-        cols = [0] * self.cols
-        for i, r in enumerate(self._bits):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BitMatrix(cols, self.rows)
+        return BitMatrix.from_numpy(self.to_numpy().T)
 
     def power(self, e: int) -> "BitMatrix":
         """Matrix power for e >= 0 (square matrices only)."""
@@ -206,10 +200,11 @@ class BitMatrix:
         return BitMatrix((self._bits[i] for i in idx), self.cols)
 
     def take_cols(self, idx: Sequence[int]) -> "BitMatrix":
-        out = []
-        for r in self._bits:
-            out.append(sum(((r >> j) & 1) << p for p, j in enumerate(idx)))
-        return BitMatrix(out, len(idx))
+        idx = np.asarray(idx, dtype=np.intp)
+        bad = idx[(idx < 0) | (idx >= self.cols)]
+        if bad.size:
+            raise IndexError(f"column {bad[0]} out of range for width {self.cols}")
+        return BitMatrix.from_numpy(self.to_numpy()[:, idx])
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:

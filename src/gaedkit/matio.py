@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .gf2 import BitMatrix
 
 
@@ -39,16 +41,9 @@ def write_alist(m: BitMatrix, path) -> None:
     per-row degree lists, then 1-indexed adjacency lists padded with zeros.
     """
     rows, cols = m.shape
-    col_adj: list[list[int]] = [[] for _ in range(cols)]
-    row_adj: list[list[int]] = [[] for _ in range(rows)]
-    for i in range(rows):
-        r = m.row_bits(i)
-        while r:
-            low = r & -r
-            j = low.bit_length() - 1
-            col_adj[j].append(i + 1)
-            row_adj[i].append(j + 1)
-            r ^= low
+    bits = m.to_numpy()
+    col_adj = [(np.flatnonzero(c) + 1).tolist() for c in bits.T]
+    row_adj = [(np.flatnonzero(r) + 1).tolist() for r in bits]
     max_col = max((len(a) for a in col_adj), default=0)
     max_row = max((len(a) for a in row_adj), default=0)
     out = [f"{cols} {rows}", f"{max_col} {max_row}",

@@ -2,6 +2,7 @@
 
 import heapq
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -355,6 +356,21 @@ def test_optimize_pcm_preserves_code_and_lowers_weight():
         # greedy over the full dual pool reaches the lightest possible basis
         again = optimize_pcm(c, pool, seed=1)
         assert again.h == better.h
+
+
+def test_optimize_pcm_reaches_the_lightest_basis():
+    # greedy selection in weight order is matroid greedy: every tie-break
+    # reaches the minimum total weight, so optimize_pcm scores four-cycles
+    rng = np.random.default_rng(57)
+    for seed in range(30):
+        c = random_code(rng, int(rng.integers(5, 11)), int(rng.integers(2, 5)))
+        r = c.n - c.k
+        dual = [w for w in span_words(list(c.h)) if w]
+        lightest = min(sum(w.bit_count() for w in basis)
+                       for basis in combinations(dual, r)
+                       if rank(BitMatrix(basis, c.n)) == r)
+        pool = DualWordPool(tuple(dual), c.n)
+        assert optimize_pcm(c, pool, seed=seed).h.weight == lightest
 
 
 def test_dual_word_pool_sorts_dedups_and_checks_range():

@@ -85,10 +85,18 @@ def test_matmul_matches_naive():
 
 def test_transpose_and_xor():
     rng = np.random.default_rng(12)
-    for _ in range(60):
-        a = random_matrix(rng, int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+    # 0-row and 0-column shapes, and widths around and past one 64-bit word
+    shapes = [(0, 0), (0, 5), (5, 0), (3, 63), (64, 2), (65, 65), (7, 130)]
+    shapes += [(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+               for _ in range(60)]
+    for rows, cols in shapes:
+        a = random_matrix(rng, rows, cols)
         b = random_matrix(rng, a.rows, a.cols)
-        assert a.transpose().transpose() == a
+        at = a.transpose()
+        assert at.shape == (cols, rows)
+        assert all(at.get(j, i) == a.get(i, j)
+                   for i in range(rows) for j in range(cols))
+        assert at.transpose() == a
         assert (a ^ b) ^ b == a
         c = random_matrix(rng, a.cols, int(rng.integers(1, 10)))
         assert (a @ c).transpose() == c.transpose() @ a.transpose()
@@ -133,6 +141,14 @@ def test_take_and_stack():
     for i in range(5):
         assert [cols.get(i, 0), cols.get(i, 1), cols.get(i, 2)] == \
             [m.get(i, 6), m.get(i, 1), m.get(i, 1)]
+    assert m.take_cols([]).shape == (5, 0)
+    wide = random_matrix(rng, 4, 130)
+    idx = [129, 0, 64, 64, 63, 129]
+    assert wide.take_cols(np.array(idx)) == BitMatrix.from_rows(
+        [[wide.get(i, j) for j in idx] for i in range(4)])
+    for bad in ([7], [-1], [0, 9]):
+        with pytest.raises(IndexError, match=f"column {bad[-1]} out of range"):
+            m.take_cols(bad)
     st = m.vstack(random_matrix(rng, 2, 7))
     assert st.shape == (7, 7)
     with pytest.raises(ValueError):

@@ -75,8 +75,11 @@ def test_dense_errors(tmp_path):
 
 def test_alist_roundtrip(tmp_path):
     rng = np.random.default_rng(41)
-    for i in range(40):
-        m = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+    # more than 64 rows or columns spans two packed words
+    shapes = [(int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+              for _ in range(40)] + [(70, 5), (3, 65), (66, 130)]
+    for i, shape in enumerate(shapes):
+        m = random_matrix(rng, *shape)
         p = tmp_path / f"a{i}.alist"
         write_alist(m, p)
         assert read_alist(p) == m
