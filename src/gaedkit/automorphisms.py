@@ -20,7 +20,7 @@ import numpy as np
 from .codes import (DualWordPool, LinearCode, ReductionError,
                     low_weight_dual_search, optimize_pcm, reduce_zero_columns)
 from .frobenius import _deflate, invariant_factors
-from .gf2 import BitMatrix, Reducer, SingularMatrixError, invert, rank
+from .gf2 import BitMatrix, SingularMatrixError, free_columns, invert, rank
 
 
 @dataclass(frozen=True)
@@ -103,16 +103,12 @@ class Ccm:
 def compute_ccm(c: LinearCode) -> Ccm:
     """Characterizing basis for c: A^-1 is H over unit rows.
 
-    Below H's rows come the unit rows e_f, ascending, of every column f that
-    leads no row of H's row space, the columns that `null_space_basis`
-    treats as free. So A's last k columns are the null-space vectors with a
-    single 1 among those columns: for a `LinearCode.from_pcm` code, G's rows.
+    Below H's rows come the unit rows e_f of H's free columns, the ones
+    where `null_space_basis` puts its single 1. So A's last k columns are
+    the null-space vectors with a single 1 among those columns: for a
+    `LinearCode.from_pcm` code, G's rows.
     """
-    span = Reducer()
-    for row in c.h:
-        span.insert(row)
-    basis_inv = BitMatrix(list(c.h) + [1 << f for f in range(c.n)
-                                       if f not in span.pivots], c.n)
+    basis_inv = BitMatrix(list(c.h) + [1 << f for f in free_columns(c.h)], c.n)
     return Ccm(code=c, basis=invert(basis_inv), basis_inv=basis_inv)
 
 

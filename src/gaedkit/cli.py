@@ -55,14 +55,13 @@ def _build_parser() -> _Parser:
     v.add_argument("code_dir")
 
     d = sub.add_parser("dmin", help="minimum distance of a code given its PCM")
-    d.add_argument("matrix", help="parity-check matrix file")
-    d.add_argument("--format", choices=("auto", "dense", "alist"),
-                   default="auto")
+    d.add_argument("matrix", help="parity-check matrix file, alist if it "
+                                  "ends in .alist, else dense")
     return p
 
 
 def _cmd_construct(args, parser: _Parser) -> int:
-    if args.n < 2 or not 0 < args.k < args.n:
+    if not 0 < args.k < args.n:
         parser.error(f"need 0 < k < n, got n={args.n} k={args.k}")
     if args.delta < 0:
         parser.error("delta must be non-negative")
@@ -117,10 +116,8 @@ def _cmd_construct(args, parser: _Parser) -> int:
     return 0
 
 
-def _read_matrix(path: Path, fmt: str = "auto") -> BitMatrix:
-    if fmt == "alist" or (fmt == "auto" and path.suffix == ".alist"):
-        return read_alist(path)
-    return read_dense(path)
+def _read_matrix(path: Path) -> BitMatrix:
+    return read_alist(path) if path.suffix == ".alist" else read_dense(path)
 
 
 def _fail(msg: str) -> int:
@@ -298,7 +295,7 @@ def _cmd_verify(args) -> int:
 def _cmd_dmin(args) -> int:
     path = Path(args.matrix)
     try:
-        m = _read_matrix(path, args.format)
+        m = _read_matrix(path)
     except (OSError, ValueError) as e:
         return _fail(str(e))
     # drop dependent rows so redundant PCMs are accepted

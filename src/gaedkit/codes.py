@@ -209,8 +209,8 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
                            seed: int = 0) -> DualWordPool:
     """Collect low-weight nonzero dual codewords.
 
-    When n-k <= 24 all 2^(n-k) dual words are enumerated, and the result is
-    exactly the first target_count nonzero words in (weight, value) order.
+    When n-k <= _MAX_DUAL, all 2^(n-k) dual words are enumerated and the
+    result is the first target_count nonzero words in (weight, value) order.
     For each chunk of the enumeration the weight histogram and the cutoff
     are updated first: the cutoff is the smallest weight by which the words
     seen so far already fill the target, since no heavier word can make the
@@ -218,7 +218,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
     cutoff are copied out, as packed arrays; only the returned words are
     converted to ints.
 
-    Above n-k = 24 a seeded random-combination search over H's rows runs
+    Above that a seeded random-combination search over H's rows runs
     instead; its pool holds fewer than target_count words when the
     iteration budget ends first.
     """
@@ -226,7 +226,7 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
         raise ValueError("target_count must be positive")
     r = c.n - c.k
     hrows = [c.h.row_bits(i) for i in range(r)]
-    if r <= 24:
+    if r <= _MAX_DUAL:
         cutoff = c.n
         hist = np.zeros(c.n + 1, dtype=np.int64)
         packed: list[np.ndarray] = []

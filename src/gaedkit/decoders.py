@@ -44,8 +44,9 @@ class PreprocessPlan:
     """Box-plus schedule for one matrix, rows grouped by degree.
 
     Output coordinate j combines the input LLRs selected by row j. Rows of
-    degree 1 copy their input bit-for-bit, so a permutation matrix yields an
-    exact coordinate permutation.
+    degree 1 copy their input bit-for-bit, as the final clip leaves checked
+    LLRs (-0.0 included) unchanged, so a permutation matrix yields an exact
+    coordinate permutation.
     """
 
     def __init__(self, t: BitMatrix):
@@ -70,13 +71,13 @@ class PreprocessPlan:
         llrs = check_llr_batch(llrs, self.n)
         out = np.empty_like(llrs)
         for rows, sels in self.groups:
-            if sels.shape[1] == 1:
-                out[:, rows] = llrs[:, sels[:, 0]]
-                continue
             acc = llrs[:, sels[:, 0]]
             for col in range(1, sels.shape[1]):
                 acc = _pair_box_plus(acc, llrs[:, sels[:, col]])
-            out[:, rows] = np.clip(acc, -LLR_CLAMP, LLR_CLAMP)
+            out[:, rows] = np.clip(acc, -LLR_CLAMP, LLR_CLAMP, out=acc)
+            # freed before the next group's gather: two live (frames, rows)
+            # temporaries made glibc trim and re-grow its heap, 1.5x slower
+            del acc
         return out
 
 

@@ -15,13 +15,14 @@ companion-block decomposition the matrix admits.
 Every conductor, of char_poly's chains and of the deflation's scan, comes
 from one loop (`_chain`) on a gf2.Reducer span tracker. Column vectors are
 int bitsets (bit i = coordinate i), matching BitMatrix. Products t @ v go
-through per-byte XOR tables of t's columns, built once per matrix, so each
-costs one lookup per byte of v.
+through per-byte XOR tables of t's columns, built once per matrix by a
+one-entry memo, so each costs one lookup per byte of v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .gf2 import (BitMatrix, Reducer, block_diagonal, invert, rank,
@@ -51,18 +52,14 @@ def companion_matrix(f: Gf2Poly) -> BitMatrix:
     d = f.degree
     if d < 1:
         raise ValueError("companion matrix needs degree >= 1")
-    rows = []
-    for i in range(d):
-        r = (1 << (i - 1)) if i > 0 else 0
-        if (f.bits >> i) & 1:
-            r |= 1 << (d - 1)
-        rows.append(r)
-    return BitMatrix(rows, d)
+    return BitMatrix((((1 << i) >> 1) | (((f.bits >> i) & 1) << (d - 1))
+                      for i in range(d)), d)
 
 
 _Tables = tuple[list[int], ...]
 
 
+@lru_cache(maxsize=1)
 def _byte_tables(t: BitMatrix) -> _Tables:
     """Per-byte XOR tables of t's columns: entry x of table b is the XOR of
     the columns 8b + i for the set bits i of x (a four-Russians table)."""
@@ -205,16 +202,12 @@ def _deflate(t: BitMatrix, factors: list[list[tuple[Gf2Poly, int]]]
             if span.reduce(e)[0] == 0:
                 continue
             fi = _conductor(tables, span, e)
-            l = poly_lcm(fw, fi)
-            if l == fw:
+            if poly_lcm(fw, fi) == fw:
                 continue
-            if fw.is_one():
-                w, fw = e, fi
-            else:
-                a, b = coprime_split(fw, fi)
-                w = (_apply_poly(tables, fw // a, w)
-                     ^ _apply_poly(tables, fi // b, e))
-                fw = a * b
+            # from fw = ONE this gives w = e, fw = fi
+            a, b = coprime_split(fw, fi)
+            w = _apply_poly(tables, fw // a, w) ^ _apply_poly(tables, fi // b, e)
+            fw = a * b
             if fw == target:
                 break
         if fw != target:
@@ -225,12 +218,8 @@ def _deflate(t: BitMatrix, factors: list[list[tuple[Gf2Poly, int]]]
         # correct w so its annihilator is exactly fw: fw(t) w lies in the
         # span, and the span is closed enough that fw(t) w = fw(t) w' has a
         # solution w' inside it (guaranteed by the maximal-conductor choice)
-        y = _apply_poly(tables, fw, w)
-        if chain_vectors:
-            images = BitMatrix([_apply_poly(tables, fw, v) for v in chain_vectors], n)
-            combo = solve_left(images, y)
-        else:
-            combo = 0 if y == 0 else None
+        images = BitMatrix([_apply_poly(tables, fw, v) for v in chain_vectors], n)
+        combo = solve_left(images, _apply_poly(tables, fw, w))
         if combo is None:
             raise AssertionError("cyclic deflation lost solvability")
         u = w ^ xor_rows(chain_vectors, combo)
@@ -251,16 +240,14 @@ def _deflate(t: BitMatrix, factors: list[list[tuple[Gf2Poly, int]]]
     for u, f, parts in raw_blocks:
         for p, e in parts:
             pe = p ** e
-            gen = _apply_poly(tables, f // pe, u) if len(parts) > 1 else u
-            cur = gen
+            cur = _apply_poly(tables, f // pe, u)
             for _ in range(pe.degree):
                 vectors.append(cur)
                 cur = _times(tables, cur)
             blocks.append(pe)
 
     basis = BitMatrix(vectors, n).transpose()  # chain vectors as columns
-    form = (block_diagonal([companion_matrix(f) for f in blocks])
-            if blocks else BitMatrix.identity(0))
+    form = block_diagonal([companion_matrix(f) for f in blocks])
     if t @ basis != basis @ form:
         raise AssertionError("normal form reconstruction failed")
     transform = invert(basis)

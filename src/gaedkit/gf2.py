@@ -7,6 +7,7 @@ exact. Matrices are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,7 +56,12 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "_bits")
 
     def __init__(self, row_bits: Iterable[int], cols: int):
-        bits = tuple(int(r) for r in row_bits)
+        bits = tuple(row_bits)
+        try:
+            bits = tuple(map(index, bits))  # ints or numpy integers only
+        except TypeError:
+            i = next(i for i, r in enumerate(bits) if not hasattr(type(r), "__index__"))
+            raise ValueError(f"row {i} must be an integer, got {bits[i]!r}") from None
         if cols < 0:
             raise ValueError("cols must be non-negative")
         limit = 1 << cols
@@ -125,8 +131,8 @@ class BitMatrix:
         return self._bits[i]
 
     def get(self, i: int, j: int) -> int:
-        if not (0 <= j < self.cols):
-            raise IndexError("column out of range")
+        _checked([i], self.rows, "row")
+        _checked([j], self.cols, "column")
         return (self._bits[i] >> j) & 1
 
     def __iter__(self):
@@ -197,13 +203,11 @@ class BitMatrix:
     # -- structure ---------------------------------------------------------
 
     def take_rows(self, idx: Sequence[int]) -> "BitMatrix":
+        _checked(idx, self.rows, "row")
         return BitMatrix((self._bits[i] for i in idx), self.cols)
 
     def take_cols(self, idx: Sequence[int]) -> "BitMatrix":
-        idx = np.asarray(idx, dtype=np.intp)
-        bad = idx[(idx < 0) | (idx >= self.cols)]
-        if bad.size:
-            raise IndexError(f"column {bad[0]} out of range for width {self.cols}")
+        idx = _checked(idx, self.cols, "column")
         return BitMatrix.from_numpy(self.to_numpy()[:, idx])
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
@@ -213,6 +217,15 @@ class BitMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return words_to_bits(ints_to_words(self._bits, self.cols), self.cols)
+
+
+def _checked(idx: Sequence[int], size: int, axis: str) -> np.ndarray:
+    """idx as intp, or IndexError naming its first entry outside 0..size-1."""
+    idx = np.asarray(idx, dtype=np.intp)
+    bad = idx[(idx < 0) | (idx >= size)]
+    if bad.size:
+        raise IndexError(f"{axis} {bad[0]} out of range for {size} {axis}s")
+    return idx
 
 
 def xor_rows(rows: Sequence[int], mask: int) -> int:
@@ -298,23 +311,28 @@ def invert(m: BitMatrix) -> BitMatrix:
     return BitMatrix((span.reduce(1 << c)[1] for c in range(n)), n)
 
 
+def free_columns(m: BitMatrix) -> list[int]:
+    """Ascending columns that lead no vector of m's row space: the non-pivots."""
+    span = Reducer()
+    for row in m:
+        span.insert(row)
+    return [f for f in range(m.cols) if f not in span.pivots]
+
+
 def null_space_basis(m: BitMatrix) -> BitMatrix:
     """Basis of {x : m @ x = 0}, one vector per row of the result.
 
     Vectors are emitted in ascending order of their free column, each with a
-    single 1 in that free position, so the result has full row rank. The
-    pivots are the leading bits of m's row space; free column f is the
-    combination of the pivot columns that its witness names.
+    single 1 in that free position, so the result has full row rank. Free
+    column f is the combination of the pivot columns that its witness
+    names; the pivot columns are independent, so the witness is unique.
     """
-    row_span = Reducer()
-    for row in m:
-        row_span.insert(row)
+    free = free_columns(m)
     cols = list(m.transpose())
     col_span = Reducer()
-    for p in row_span.pivots:
+    for p in set(range(m.cols)).difference(free):
         col_span.insert(cols[p], 1 << p)
-    return BitMatrix(((1 << f) | col_span.reduce(cols[f])[1]
-                      for f in range(m.cols) if f not in row_span.pivots),
+    return BitMatrix(((1 << f) | col_span.reduce(cols[f])[1] for f in free),
                      m.cols)
 
 

@@ -227,8 +227,6 @@ def is_irreducible(f: Gf2Poly) -> bool:
     d = f.degree
     if d < 1:
         return False
-    if d == 1:
-        return True
     if _pow2k_mod(X, d, f) != X % f:
         return False
     for q in _prime_divisors(d):

@@ -13,8 +13,9 @@ from operator import mul
 import mpmath
 import numpy as np
 
-from gaedkit import (BitMatrix, BpConfig, DecoderSpec, GaedEnsemble,
-                     GeneralizedAutomorphism, LinearCode, SweepConfig,
+from gaedkit import (LLR_CLAMP, BitMatrix, BpConfig, DecoderSpec,
+                     GaedEnsemble, GeneralizedAutomorphism, LinearCode,
+                     SweepConfig,
                      awgn_llr_batch, box_plus, compute_ccm, conjugate_z,
                      construct_code_with_automorphism, frobenius_normal_form,
                      invert, membership_in_z, osd_decode_batch,
@@ -130,6 +131,11 @@ def test_box_plus_value_and_permutation_passthrough():
     llrs = rng.uniform(-20.0, 20.0, size=(1, 24))
     out = PreprocessPlan(t.matrix).apply(llrs)
     assert np.array_equal(out, llrs[:, perm])
+    # the edge values, compared as bytes: -0.0 must stay -0.0
+    edges = np.resize([-0.0, 0.0, LLR_CLAMP, -LLR_CLAMP, 1.0], (3, 24))
+    edges[1] = rng.permutation(edges[1])
+    out = PreprocessPlan(t.matrix).apply(edges)
+    assert out.tobytes() == edges[:, perm].tobytes()
 
 
 def test_identity_ensemble_matches_plain_bp():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gaedkit import automorphisms
+from gaedkit import automorphisms, frobenius
 from gaedkit.automorphisms import (Ccm, ConstructionError,
                                    GeneralizedAutomorphism, ZBlockMatrix,
                                    compute_ccm, conjugate_z,
@@ -278,6 +278,31 @@ def test_failed_orderings_skip_the_deflation(monkeypatch):
         assert len(calls) == res.attempts - res.ordering_failures
         misses += res.ordering_failures
     assert misses   # the gate was exercised
+
+
+def test_byte_tables_are_built_once_per_attempt(monkeypatch):
+    sampled = []
+    sample = automorphisms.sample_sparse_invertible
+
+    def counting_sample(n, omega_obj, rng):
+        sampled.append(sample(n, omega_obj, rng))
+        return sampled[-1]
+
+    monkeypatch.setattr(automorphisms, "sample_sparse_invertible",
+                        counting_sample)
+    tables = frobenius._byte_tables
+    misses = 0
+    for seed in range(5):
+        sampled.clear()
+        tables.cache_clear()
+        res = construct_code_with_automorphism(64, 48, 16, seed=seed)
+        info = tables.cache_info()
+        assert len(sampled) == res.attempts == info.misses
+        # char_poly's and invariant_factors' tables every attempt, and the
+        # deflation's on every ordered attempt, are one build
+        assert info.hits == 2 * res.attempts - res.ordering_failures
+        misses += res.ordering_failures
+    assert misses   # attempts without a deflation were exercised
 
 
 def test_construction_is_deterministic():

@@ -185,7 +185,10 @@ def test_dmin_hamming(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert main(["dmin", str(alist)]) == 0
     assert capsys.readouterr().out.strip() == "3"
-    assert main(["dmin", str(dense), "--format", "dense"]) == 0
+    # the suffix alone picks the format: there is no --format option
+    with pytest.raises(SystemExit) as e:
+        main(["dmin", str(dense), "--format", "dense"])
+    assert e.value.code == 1
     capsys.readouterr()
 
 

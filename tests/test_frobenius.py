@@ -247,6 +247,32 @@ def assert_matches_oracle(t):
     assert fb.transform == want.transform
 
 
+X1, X2 = Gf2Poly(0b11), Gf2Poly(0b111)
+
+
+# Each input took one special case that the deflation no longer has, and
+# `parts` pins the round structure that took it. The oracle keeps them all,
+# so the general step must give its form bit for bit.
+@pytest.mark.parametrize("t, parts", [
+    # no blocks: block_diagonal([]) is the 0x0 form
+    (BitMatrix([], 0), []),
+    # cyclic, one prime power: the round starts from fw = ONE with no chain
+    # vectors, and its one-prime factor is its own generator (f // p^e = ONE)
+    (companion_matrix(Gf2Poly(0b10011) ** 2), [1]),
+    # one invariant factor with two primes, split by f // p^e
+    (companion_matrix(X1 ** 2 * X2), [2]),
+    # a prime of multiplicity 3 in two rounds: the second starts from
+    # fw = ONE beside chain vectors
+    (block_diagonal([companion_matrix(X1 ** 2), companion_matrix(X1)]), [1, 1]),
+], ids=["empty", "cyclic", "two-primes", "repeated-prime"])
+def test_general_deflation_step_on_its_former_special_cases(t, parts):
+    assert [len(r) for r in invariant_factors(t)] == parts
+    s = BitMatrix.random_invertible(t.rows, np.random.default_rng(38))
+    for m in (t, s @ t @ invert(s)):
+        check_form(m)
+        assert_matches_oracle(m)
+
+
 def unipotent(sizes):
     """I plus a nilpotent shift, one Jordan-like block per size."""
     return block_diagonal([BitMatrix(((1 << i) | ((1 << i) >> 1)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gaedkit.frobenius import char_poly, companion_matrix
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, bits_to_words,
-                         block_diagonal, independent_rows, ints_to_words,
-                         invert, null_space_basis, rank, solve_left,
-                         words_to_bits, words_to_ints, xor_rows)
+                         block_diagonal, free_columns, independent_rows,
+                         ints_to_words, invert, null_space_basis, rank,
+                         solve_left, words_to_bits, words_to_ints, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -62,6 +62,18 @@ def test_construction_and_validation():
         BitMatrix.from_numpy(np.zeros(3, dtype=np.uint8))
     with pytest.raises(IndexError):
         m.get(0, 3)
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"row {i} out of range"):
+            m.get(i, 0)
+    # rows are integers: a float or a string is refused, naming the row
+    for bad in ([1.5], ["3"], [1, 2.0], (r for r in [0, np.float64(1)])):
+        with pytest.raises(ValueError, match=r"row \d must be an integer"):
+            BitMatrix(bad, 2)
+    with pytest.raises(ValueError, match="row 1 must be an integer, got '3'"):
+        BitMatrix([0, "3"], 2)
+    for good in (np.array([1, 3], dtype=np.int64), [np.uint8(1), True]):
+        rows = list(BitMatrix(good, 2))
+        assert rows == [1, int(good[1])] and all(type(r) is int for r in rows)
 
 
 def test_numpy_roundtrip():
@@ -149,6 +161,14 @@ def test_take_and_stack():
     for bad in ([7], [-1], [0, 9]):
         with pytest.raises(IndexError, match=f"column {bad[-1]} out of range"):
             m.take_cols(bad)
+    # the same rule for rows: a negative index does not count from the end
+    for bad in ([5], [-1], [0, 9]):
+        with pytest.raises(IndexError, match=f"row {bad[-1]} out of range"):
+            m.take_rows(bad)
+    with pytest.raises(IndexError, match="row -1 out of range for 3 rows"):
+        BitMatrix.identity(3).take_rows([-1])
+    assert m.take_rows([]).shape == (0, 7)
+    assert m.take_rows(np.array([4, 4])) == m.take_rows([4, 4])
     st = m.vstack(random_matrix(rng, 2, 7))
     assert st.shape == (7, 7)
     with pytest.raises(ValueError):
@@ -637,6 +657,8 @@ def span_matrices(draw):
 def test_span_tracker_matches_oracles(m, data):
     assert rank(m) == oracle_rank(m)
     assert null_space_basis(m) == oracle_null_space_basis(m)
+    pivots = oracle_echelon(list(m))[1]
+    assert free_columns(m) == [j for j in range(m.cols) if j not in pivots]
     assert list(independent_rows(m)) == inline_independent_rows(list(m))
     if m.rows == m.cols:
         try:
