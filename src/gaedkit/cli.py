@@ -206,8 +206,14 @@ def _cmd_simulate(args) -> int:
             return _fail("config needs either dir= or h=")
         t = None if t_path is None else _read_matrix(t_path)
         code = LinearCode.from_pcm(h)
-        spec = DecoderSpec(kind=raw.get("decoder", ""),
-                           **_sim_fields(raw, DecoderSpec))
+        try:
+            spec = DecoderSpec(kind=raw.get("decoder", ""),
+                               **_sim_fields(raw, DecoderSpec))
+        except ValueError as e:
+            # the one field whose config key is not its name
+            if str(e).startswith("powers "):
+                raise ValueError(f"gaed_{e}") from None
+            raise
         # run_sweep checks what the decoder kind needs of it
         aut = None
         if t is not None:

@@ -6,7 +6,10 @@ the number of edges, not checks * n, and a single frame and a batch member
 follow bit-identical arithmetic. Ensemble paths preprocess the channel LLRs
 through an automorphism (box-plus per output coordinate), decode
 independently, map the hard decisions back through the inverse matrix, and
-keep the most likely candidate.
+keep the most likely candidate. Paths after the first run only on frames
+whose first candidate is not certified maximum-likelihood by the test of
+Taipale and Pursley (IEEE Trans. IT, 1991); the picks are those of running
+every path on every frame.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
-from .codes import DualWordPool, LinearCode, check_pool
+from .codes import DualWordPool, LinearCode, check_pool, min_distance
 from .gf2 import BitMatrix, independent_rows, rank
 from .osd import osd_decode_batch
 
@@ -307,6 +310,12 @@ class GaedEnsemble:
     The winner maximizes correlation with the channel LLRs among
     syndrome-valid candidates when any exist, else among all candidates;
     ties go to the lowest path index.
+
+    Path 0 decodes every frame; paths 1.. decode only the frames where
+    `_certified` cannot prove path 0's codeword the unique maximum-likelihood
+    decision, so no later path could win there. Every output is bit for
+    bit that of decoding all frames on all paths, as each frame decodes
+    alike in any batch.
     """
 
     def __init__(self, code: LinearCode, auts):
@@ -324,30 +333,67 @@ class GaedEnsemble:
         # mapped bit j XORs the hard bits in row j of the inverse's edge lists
         self.inv_vars = [TannerGraph.from_pcm(a.inverse).check_vars
                          for a in auts]
+        # any lower bound on the distance keeps the certificate exact
+        try:
+            self.d = min_distance(code)
+        except ValueError:      # too large to enumerate
+            self.d = 1
+
+    def _decode_path(self, p: int, llrs: np.ndarray, cfg: BpConfig
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """Path p on checked LLRs: (hard_bits, is_codeword, iterations,
+        corr) of the candidate mapped back to the code's coordinates."""
+        # every path matrix is an automorphism (checked in __init__), so
+        # the mapped word is a codeword exactly when BP's word is
+        hard, valid, iters = bp_min_sum_batch(
+            self.graph, self.plans[p].apply(llrs), cfg)
+        # padding reads the zero column np.pad appends. No BLAS product:
+        # its threads can cost more than the whole map.
+        hard = np.bitwise_xor.reduce(
+            np.pad(hard, ((0, 0), (0, 1)))[:, self.inv_vars[p]], axis=2)
+        return hard, valid, iters, _correlation(hard, llrs)
+
+    def _certified(self, llrs: np.ndarray, hard: np.ndarray,
+                   valid: np.ndarray) -> np.ndarray:
+        """Frames whose codeword `hard` is the unique ML decision.
+
+        With E the positions where the word differs from the channel's hard
+        decision, any other codeword differs from it in at least d places,
+        d - |E| of them outside E. So it correlates less when the smallest
+        d - |E| values of |LLR| outside E sum to more than those over E.
+        A margin of 1e-9 * sum |LLR| keeps rounding from certifying a tie.
+        """
+        flips = hard != (llrs < 0)
+        out = valid & (flips.sum(axis=1) < self.d)
+        f = np.flatnonzero(out)   # only these can pass: sort no others
+        mags, flips = np.abs(llrs[f]), flips[f]
+        # E's entries read 0, so the d smallest are E's |E| zeros and the
+        # d - |E| smallest outside E
+        low = np.partition(np.where(flips, 0.0, mags), self.d - 1,
+                           axis=1)[:, :self.d].sum(axis=1)
+        on_e = np.where(flips, mags, 0.0).sum(axis=1)
+        out[f] = low - on_e > 1e-9 * mags.sum(axis=1)
+        return out
 
     def decode_batch(self, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
         llrs = check_llr_batch(llrs, self.code.n)
-        shape = (len(self.plans), llrs.shape[0])
-        hards = np.empty(shape + (self.code.n,), dtype=np.uint8)
-        valids = np.empty(shape, dtype=bool)
-        iters = np.empty(shape, dtype=np.int64)
-        corrs = np.empty(shape)
-        for p, (plan, inv_vars) in enumerate(zip(self.plans, self.inv_vars)):
-            # every path matrix is an automorphism (checked in __init__),
-            # so the mapped word is a codeword exactly when BP's word is
-            hard, valids[p], iters[p] = bp_min_sum_batch(
-                self.graph, plan.apply(llrs), cfg)
-            # padding reads the zero column np.pad appends. No BLAS product:
-            # its threads can cost more than the whole map.
-            hards[p] = np.bitwise_xor.reduce(
-                np.pad(hard, ((0, 0), (0, 1)))[:, inv_vars], axis=2)
-            corrs[p] = _correlation(hards[p], llrs)
-        score = np.where(valids == valids.any(axis=0), corrs, -np.inf)
-        pick = score.argmax(axis=0), np.arange(shape[1])
-        return hards[pick], valids[pick], iters[pick], pick[0], corrs[pick]
+        hard, valid, iters, corr = self._decode_path(0, llrs, cfg)
+        path = np.zeros(llrs.shape[0], dtype=np.intp)
+        rest = np.flatnonzero(~self._certified(llrs, hard, valid))
+        sub = llrs[rest]
+        for p in range(1, len(self.plans)):
+            h, v, i, c = self._decode_path(p, sub, cfg)
+            # a valid candidate beats an invalid one, then the higher
+            # correlation wins; ties keep the lower path
+            win = (v > valid[rest]) | ((v == valid[rest]) & (c > corr[rest]))
+            f = rest[win]
+            hard[f], valid[f], iters[f], path[f], corr[f] = \
+                h[win], v[win], i[win], p, c[win]
+        return hard, valid, iters, path, corr
 
 
 def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)

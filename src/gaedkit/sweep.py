@@ -87,6 +87,9 @@ class DecoderSpec:
             raise ValueError("powers must be non-empty")
         if not all(map(_is_integer, self.powers)):
             raise ValueError(f"powers must be integers, got {self.powers!r}")
+        # a repeated path ties the first on every frame and loses the tie
+        if len(set(self.powers)) < len(self.powers):
+            raise ValueError(f"powers must be distinct, got {self.powers!r}")
 
     @property
     def label(self) -> str:

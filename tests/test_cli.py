@@ -451,6 +451,9 @@ def test_simulate_config_validation(tmp_path, capsys, no_frames):
           "gaed_powers = 0,,1"],
          "gaed_powers must be a comma-separated list of values, each an "
          "integer, got '0,,1'"),
+        (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0",
+          "gaed_powers = 0,0,1"],
+         "gaed_powers must be distinct, got (0, 0, 1)"),
         (["h = missing.txt", "decoder = bp", "ebn0_db = 1.0"], ""),
     ]
     for lines, needle in cases:

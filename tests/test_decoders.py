@@ -14,7 +14,8 @@ from mpmath import mp
 from gaedkit import decoders, osd
 from gaedkit.automorphisms import (GeneralizedAutomorphism,
                                    construct_code_with_automorphism)
-from gaedkit.channel import LLR_CLAMP, LlrVector, awgn_llr_batch
+from gaedkit.channel import (LLR_CLAMP, LlrVector, awgn_llr_batch,
+                             check_llr_batch)
 from gaedkit.codes import DualWordPool, LinearCode
 from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
                               PreprocessPlan, TannerGraph, bp_min_sum_batch,
@@ -567,6 +568,156 @@ def test_gaed_decode_single_frame():
     assert valid[0]
     assert np.array_equal(hard[0], cw.astype(np.uint8))
     assert path[0] == 0
+
+
+def full_gaed_decode_batch(ens: GaedEnsemble, llrs, cfg: BpConfig):
+    """The former `GaedEnsemble.decode_batch`, kept as the oracle: every
+    path decodes every frame, then the selection rule picks per frame.
+    The certified skip must match it bit for bit."""
+    llrs = check_llr_batch(llrs, ens.code.n)
+    shape = (len(ens.plans), llrs.shape[0])
+    hards = np.empty(shape + (ens.code.n,), dtype=np.uint8)
+    valids = np.empty(shape, dtype=bool)
+    iters = np.empty(shape, dtype=np.int64)
+    corrs = np.empty(shape)
+    for p, (plan, inv_vars) in enumerate(zip(ens.plans, ens.inv_vars)):
+        hard, valids[p], iters[p] = bp_min_sum_batch(
+            ens.graph, plan.apply(llrs), cfg)
+        hards[p] = np.bitwise_xor.reduce(
+            np.pad(hard, ((0, 0), (0, 1)))[:, inv_vars], axis=2)
+        corrs[p] = decoders._correlation(hards[p], llrs)
+    score = np.where(valids == valids.any(axis=0), corrs, -np.inf)
+    pick = score.argmax(axis=0), np.arange(shape[1])
+    return hards[pick], valids[pick], iters[pick], pick[0], corrs[pick]
+
+
+def assert_same_outputs(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def random_codeword_llrs(code, frames, ebn0_db, seed):
+    rng = np.random.default_rng(seed)
+    sent = code.encode(rng.integers(0, 2, size=(frames, code.k)))
+    return awgn_llr_batch(sent, ebn0_db, code.rate, rng)
+
+
+# (32,16,10) constructions of distance 6, 5 and 1
+@pytest.mark.parametrize("seed,d", [(6, 6), (3, 5), (0, 1)])
+def test_gaed_skip_matches_full_evaluation(seed, d):
+    res = construct_code_with_automorphism(32, 16, 10, seed=seed)
+    cfg = BpConfig(iterations=10)
+    # (1, 0, -1): path 0 is not the identity
+    for powers in ((0, 1, -1), (1, 0, -1)):
+        ens = GaedEnsemble(res.code, power_ensemble(res.aut, powers))
+        assert ens.d == d
+        for ebn0 in (1.0, 2.0, 3.0, 4.0, 5.0):
+            llrs = random_codeword_llrs(res.code, 1024, ebn0, seed)
+            # integer LLRs force correlation ties between paths
+            for batch in (llrs, np.round(llrs)):
+                assert_same_outputs(ens.decode_batch(batch, cfg),
+                                    full_gaed_decode_batch(ens, batch, cfg))
+
+
+def test_gaed_falls_back_to_distance_one(monkeypatch):
+    def too_large(code):
+        raise ValueError("instance too large")
+
+    monkeypatch.setattr(decoders, "min_distance", too_large)
+    res = construct_code_with_automorphism(32, 16, 10, seed=6)
+    ens = GaedEnsemble(res.code, power_ensemble(res.aut))
+    assert ens.d == 1
+    cfg = BpConfig(iterations=10)
+    for ebn0 in (3.0, 5.0):
+        llrs = random_codeword_llrs(res.code, 1024, ebn0, 7)
+        for batch in (llrs, np.round(llrs)):
+            assert_same_outputs(ens.decode_batch(batch, cfg),
+                                full_gaed_decode_batch(ens, batch, cfg))
+
+
+def hamming_ensemble():
+    code = LinearCode.from_pcm(HAMMING_74_H)
+    ens = GaedEnsemble(code, [GeneralizedAutomorphism.identity(code.n)])
+    assert ens.d == 3
+    return ens
+
+
+def test_certificate_demands_a_strict_margin():
+    ens = hamming_ensemble()
+    # the word is 0000000 and 1110000 is a codeword, so each row's first
+    # three |LLR| decide: with E = {0}, 1110000 ties 0 when |LLR_1| +
+    # |LLR_2| = |LLR_0|; with E empty, when LLR_0..2 are all zero
+    llrs = np.array([
+        [-2.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0],          # an exact tie
+        [-2.0, 1.0, 1.0 + 1e-12, 5.0, 5.0, 5.0, 5.0],  # inside the margin
+        [-2.0, 1.0, 1.5, 5.0, 5.0, 5.0, 5.0],          # beyond it
+        [0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0],           # an exact tie
+        [1e-12, 1e-12, 1e-12, 5.0, 5.0, 5.0, 5.0],     # inside the margin
+        [1e-6, 1e-6, 1e-6, 5.0, 5.0, 5.0, 5.0],        # beyond it
+    ])
+    zero = np.zeros(llrs.shape, dtype=np.uint8)
+    valid = np.ones(len(llrs), dtype=bool)
+    assert ens._certified(llrs, zero, valid).tolist() == \
+        [False, False, True, False, False, True]
+    # a word that is not a codeword is never certified
+    assert not ens._certified(llrs, zero, ~valid).any()
+
+
+def test_certificate_refuses_d_or_more_disagreements():
+    ens = hamming_ensemble()
+    # the valid word 0000000 against hard decisions 3 and 4 places away,
+    # with every other |LLR| at the clamp
+    llrs = np.full((2, 7), LLR_CLAMP)
+    llrs[0, :3] = llrs[1, :4] = -1e-3
+    zero = np.zeros(llrs.shape, dtype=np.uint8)
+    assert not ens._certified(llrs, zero, np.ones(2, dtype=bool)).any()
+    # E may hold zero LLRs: the word 1111000 against the hard decision 0
+    word = np.array([[1, 1, 1, 1, 0, 0, 0]], dtype=np.uint8)
+    llrs = np.array([[0.0, 0.0, 0.0, 0.0, 9.0, 9.0, 9.0]])
+    assert not ens._certified(llrs, word, np.ones(1, dtype=bool)).any()
+
+
+def test_certified_words_are_the_unique_ml_codewords():
+    # the (16,8,4) construction of seed 9 has distance 3 and 256 codewords
+    res = construct_code_with_automorphism(16, 8, 4, seed=9)
+    ens = GaedEnsemble(res.code, power_ensemble(res.aut))
+    assert ens.d == 3
+    signs = 1.0 - 2.0 * res.code.codeword_table()
+    llrs = random_codeword_llrs(res.code, 4096, 2.0, 9)
+    for batch in (llrs, np.round(llrs)):
+        hard, valid, _, _ = ens._decode_path(0, batch, BpConfig(iterations=5))
+        cert = ens._certified(batch, hard, valid)
+        assert 0 < cert.sum() < len(batch)
+        corr = np.sort(batch[cert] @ signs.T, axis=1)
+        assert np.all(corr[:, -2] < corr[:, -1])
+        assert np.array_equal(ml_decode_batch(res.code, batch[cert]),
+                              hard[cert])
+
+
+def test_later_paths_decode_only_uncertified_frames(monkeypatch):
+    res = construct_code_with_automorphism(32, 16, 10, seed=6)
+    ens = GaedEnsemble(res.code, power_ensemble(res.aut))
+    cfg = BpConfig(iterations=10)
+    seen = []
+
+    def counting(graph, llrs, cfg):
+        seen.append(llrs)
+        return bp_min_sum_batch(graph, llrs, cfg)
+
+    monkeypatch.setattr(decoders, "bp_min_sum_batch", counting)
+    rng = np.random.default_rng(12)
+    sent = res.code.encode(rng.integers(0, 2, size=(256, res.code.k)))
+    ens.decode_batch((1.0 - 2.0 * sent) * 4.0, cfg)
+    assert [len(x) for x in seen] == [256, 0, 0]
+    llrs = random_codeword_llrs(res.code, 2048, 3.0, 12)
+    hard, valid, _, _ = ens._decode_path(0, llrs, cfg)
+    rest = ~ens._certified(llrs, hard, valid)
+    assert 0 < rest.sum() < len(llrs)
+    seen.clear()
+    ens.decode_batch(llrs, cfg)
+    assert len(seen) == 3 and np.array_equal(seen[0], ens.plans[0].apply(llrs))
+    for plan, got in zip(ens.plans[1:], seen[1:]):
+        assert np.array_equal(got, plan.apply(llrs[rest]))
 
 
 # -- redundant-row stacks ----------------------------------------------------

@@ -73,6 +73,10 @@ def test_decoder_spec_validation():
             DecoderSpec("gaed", powers=bad)
     assert DecoderSpec("gaed", powers=(np.int64(0), 1)).label == \
         "GAED-2-BP-20"
+    # a repeated path could only tie an earlier one, and ties go to it
+    for bad in ((0, 0, 1), (1, -1, np.int64(1))):
+        with pytest.raises(ValueError, match="powers must be distinct"):
+            DecoderSpec("gaed", powers=bad)
     # an integer once made BP loop forever, indexing its live set
     for bad in (0, 1, np.int64(1), 1.0, "yes", None):
         with pytest.raises(ValueError, match="early_stop must be a bool"):
