@@ -250,17 +250,11 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
     collected = set(hrows)
     budget = max(10_000, 400 * target_count)
     spent = 0
-    mask_words = (r + 62) // 63
-    mask_limit = (1 << r) - 1
     while len(collected) < target_count and spent < budget:
         batch = min(4096, budget - spent)
         spent += batch
-        draws = rng.integers(0, 2**63, size=(batch, mask_words), dtype=np.int64)
-        for chunk_row in draws.tolist():
-            mm = 0
-            for part in chunk_row:
-                mm = (mm << 63) | part
-            word = xor_rows(hrows, mm & mask_limit)
+        for mask in BitMatrix.random(batch, r, rng):
+            word = xor_rows(hrows, mask)
             if word:
                 collected.add(word)
     words = sorted(collected, key=lambda v: (v.bit_count(), v))[:target_count]

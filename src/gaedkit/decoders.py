@@ -98,6 +98,15 @@ def _check_integers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_bools(obj, *names: str) -> None:
+    """Each named field must be a bool or a numpy bool; an integer would
+    index an array where a mask was meant, and a string is always true."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BpConfig:
     """Normalized min-sum settings; flooding is the only schedule."""
@@ -117,10 +126,7 @@ class BpConfig:
             raise ValueError(f"normalization must be a number, got {norm!r}")
         if not 0.0 < norm <= 1.0:
             raise ValueError("normalization must be in (0, 1]")
-        # an integer would index BP's live set instead of masking it
-        if not isinstance(self.early_stop, (bool, np.bool_)):
-            raise ValueError(f"early_stop must be a bool, got "
-                             f"{self.early_stop!r}")
+        _check_bools(self, "early_stop")
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,13 @@ class BitMatrix:
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
-        words = (cols + 62) // 63
+        draws = rng.integers(0, 2**63, size=(rows, (cols + 62) // 63),
+                             dtype=np.int64)
         bits = []
-        for _ in range(rows):
+        for parts in draws.tolist():
             v = 0
-            for w in rng.integers(0, 2**63, size=words, dtype=np.int64):
-                v = (v << 63) | int(w)
+            for w in parts:
+                v = (v << 63) | w
             bits.append(v & ((1 << cols) - 1))
         return cls(bits, cols)
 

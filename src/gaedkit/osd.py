@@ -1,9 +1,10 @@
 """Ordered-statistics decoding (Fossorier and Lin, 1995) over batches of frames.
 
 One Gauss-Jordan elimination, vectorised over the frame axis on codewords
-packed into uint64 words, gives every frame its information set; flip
-patterns are screened by lookup tables before the few that could win are
-scored in float64.
+packed into uint64 words, gives every frame its information set. One pass
+over the flip patterns then builds each chunk of candidates once, screens
+it by lookup tables, and scores in float64 only the frames where a
+candidate could beat the running best.
 """
 
 from __future__ import annotations
@@ -105,11 +106,13 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     the sorted positions: the base's by a row sum, a pattern group's by
     one matrix-vector product over the group.
 
-    Patterns are first screened with per-byte lookup tables of the sorted
-    LLRs. Only groups whose screened maximum comes within the rounding
-    slack of the best are scored exactly, so no candidate that could win
-    is skipped. Work runs in blocks of at most `_OSD_CELL_BUDGET`
-    candidate bits, which bounds memory for any k and order.
+    One pass runs over the patterns in candidate order, a chunk at a
+    time. Each chunk's candidates are built once and screened with
+    per-byte lookup tables of the sorted LLRs. A frame's chunk is scored
+    exactly only when its screened maximum comes within the rounding slack
+    of the frame's running exact best, so no candidate that could win is
+    skipped. Work runs in blocks of at most `_OSD_CELL_BUDGET` candidate
+    bits, which bounds memory for any k and order.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -147,40 +150,28 @@ def _osd_block(rows, base, w, groups, best, best_corr):
         (padded.reshape(frames, n_bytes, 8) @ _BYTE_SIGNS.T).transpose(1, 0, 2)
     ).reshape(n_bytes, -1)
     # a screened and an exact score differ by at most
-    # (n + n_bytes + 8) * eps/2 * sum|w|, so a candidate that could win
-    # screens within twice that of the best; the slack doubles it again
+    # (n + n_bytes + 8) * eps/2 * sum|w|, so a candidate that beats the
+    # running best screens within that of it; the slack is several times it
     slack = 4 * (n + 8) * np.finfo(np.float64).eps * np.abs(w).sum(axis=1)
     offsets = np.arange(frames)[:, None] * 256
-    chunks = []
     for combos in groups:
         step = (len(combos) if len(combos) * n <= _OSD_CELL_BUDGET
                 else max(1, _OSD_CELL_BUDGET // n))
-        chunks.append([combos[i:i + step]
-                       for i in range(0, len(combos), step)])
-    # screen: the approximate best score per frame and group
-    near = np.full((len(groups), frames), -np.inf)
-    for g, parts in enumerate(chunks):
-        for part in parts:
-            octets = _candidates(rows, base, part).view(np.uint8)
+        for i in range(0, len(combos), step):
+            cand = _candidates(rows, base, combos[i:i + step])
+            octets = cand.view(np.uint8)
             score = tables[0][octets[..., 0] + offsets]
             for b in range(1, n_bytes):
                 score += tables[b][octets[..., b] + offsets]
-            np.maximum(near[g], score.max(axis=1), out=near[g])
-    top = np.maximum(best_corr, near.max(axis=0))
-    # exact: one matrix-vector product per group (or chunk) and frame,
-    # groups in candidate order
-    for g, parts in enumerate(chunks):
-        sel = np.flatnonzero(near[g] >= top - slack)
-        if not sel.size:
-            continue
-        ids = np.arange(sel.size)
-        rows_sel, base_sel, w_sel = rows[sel], base[sel], w[sel][:, :, None]
-        for part in parts:
-            cand = _candidates(rows_sel, base_sel, part)
+            sel = np.flatnonzero(score.max(axis=1) >= best_corr - slack)
+            if not sel.size:
+                continue
+            # exact: one matrix-vector product per chunk and frame
+            cand = cand[sel]
             corr = np.matmul(np.where(words_to_bits(cand, n), -1.0, 1.0),
-                             w_sel)[:, :, 0]
+                             w[sel][:, :, None])[:, :, 0]
             pick = corr.argmax(axis=1)
-            val = corr[ids, pick]
+            val = corr[np.arange(sel.size), pick]
             better = val > best_corr[sel]
             best_corr[sel[better]] = val[better]
-            best[sel[better]] = cand[ids[better], pick[better]]
+            best[sel[better]] = cand[better, pick[better]]

@@ -30,9 +30,9 @@ import numpy as np
 from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import LinearCode, low_weight_dual_search
-from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_integers,
-                       _is_integer, bp_min_sum_batch, power_ensemble,
-                       stack_redundant_pcm)
+from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_bools,
+                       _check_integers, _is_integer, bp_min_sum_batch,
+                       power_ensemble, stack_redundant_pcm)
 from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
@@ -121,6 +121,7 @@ class SweepConfig:
             raise ValueError("Eb/N0 points must be strictly increasing")
         _check_integers(self, "min_frame_errors", "max_frames", "seed",
                         "workers")
+        _check_bools(self, "random_codewords")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be at least 1")
         if self.max_frames < 1:

@@ -322,6 +322,15 @@ def test_low_weight_search_random_route():
     assert len(set(pool.words)) == len(pool.words)
     again = low_weight_dual_search(c, target_count=30, seed=3)
     assert again.words == pool.words
+    # the pool drawn before BitMatrix.random took over the sampled masks
+    assert pool.words == (
+        0xc5800ba, 0x504030a91, 0x90408c6401, 0x902722882, 0x930960142,
+        0x1012175042, 0x103c003a12, 0x11b0091230, 0x141a202168,
+        0x2480834894, 0x3050530809, 0x3891003421, 0x4990c22042,
+        0xa00740e880, 0x121940a8d, 0x2c6184036, 0x2d040ea82, 0x4c84400db,
+        0x12c1000f83, 0x1e80449601, 0x21408324c9, 0x2508410d23,
+        0x29c4084891, 0x48222010d7, 0x4a00b00a95, 0x500261830e,
+        0x50c3c69000, 0x58ac104c80, 0x6820320562, 0x820ec02883)
 
 
 def test_four_cycle_count_matches_brute():

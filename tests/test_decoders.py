@@ -1028,6 +1028,35 @@ def test_osd_tie_across_pattern_chunks_keeps_the_earlier():
     assert np.array_equal(per_frame_osd(code, llrs[0], 1)[0], earlier)
 
 
+def test_osd_builds_each_pattern_chunk_once_per_block():
+    """One pass: each chunk of flip patterns is built once per frame block,
+    also on the frames where it is scored exactly."""
+    code = construct_code_with_automorphism(32, 16, 10, seed=6).code
+    rng = np.random.default_rng(97)
+    llrs = awgn_llr_batch(np.zeros((40, code.n), dtype=np.uint8), 1.0,
+                          code.rate, rng)
+    want, want_corr = osd_decode_batch(code, llrs, 3)
+    real = osd._candidates
+    # order 3 on k = 16: groups of 16, 120 and 560 patterns. A budget of
+    # 4 * 560 * n bits makes 4-frame blocks; one of 200 * n bits makes
+    # 1-frame blocks and splits the widest group into three chunks.
+    for budget, block, chunks in ((4 * 560 * code.n, 4, (16, 120, 560)),
+                                  (200 * code.n, 1, (16, 120, 200, 200, 160))):
+        calls = []
+
+        def counting(rows, base, combos):
+            calls.append((rows.shape[0], len(combos)))
+            return real(rows, base, combos)
+
+        with mock.patch.object(osd, "_candidates", counting), \
+                mock.patch.object(osd, "_OSD_CELL_BUDGET", budget):
+            hard, corr = osd_decode_batch(code, llrs, 3)
+        assert calls == [(block, c) for c in chunks] * (40 // block)
+        assert np.array_equal(hard, want)
+        # a split group's products round differently from the whole group's
+        assert np.allclose(corr, want_corr, rtol=1e-12, atol=0)
+
+
 def test_osd_batch_bounds_memory_at_large_k():
     """k = 120 at order 3 is 280 840 patterns a frame; one float64 row per
     pattern, as the per-frame decoder built, would be 288 MB."""

@@ -113,6 +113,11 @@ def test_sweep_config_validation():
                 SweepConfig(ebn0_db=(1.0,), **{field: bad})
         cfg = SweepConfig(ebn0_db=(1.0,), **{field: np.int32(2)})
         assert getattr(cfg, field) == 2
+    # "false" is a true string: the sweep once sent random codewords
+    for bad in ("false", 0, 1, None):
+        with pytest.raises(ValueError, match="random_codewords must be a bool"):
+            SweepConfig(ebn0_db=(4.0,), random_codewords=bad)
+    assert SweepConfig(ebn0_db=(4.0,), random_codewords=np.True_).random_codewords
 
 
 def test_csv_format():
