@@ -48,7 +48,7 @@ class LinearCode:
             raise ValueError("H and G dimensions do not add up to n")
         if not (h @ g.transpose()).is_zero():
             raise ValueError("G rows are not in the null space of H")
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, np.ndarray | int] = {}
 
     @classmethod
     def from_pcm(cls, h: BitMatrix) -> "LinearCode":
@@ -97,6 +97,17 @@ class LinearCode:
             table.flags.writeable = False
             self._cache["table"] = table
         return self._cache["table"]
+
+    def distance_bound(self) -> int:
+        """`min_distance`, or 1 where the code is too large to enumerate:
+        a lower bound on the distance, which keeps `certified_ml` exact.
+        Enumerated at most once per code, then kept with it."""
+        if "d" not in self._cache:
+            try:
+                self._cache["d"] = min_distance(self)
+            except ValueError:      # too large to enumerate
+                self._cache["d"] = 1
+        return self._cache["d"]
 
 
 def _combination_table(rows: list[int], n: int) -> np.ndarray:
@@ -160,6 +171,34 @@ def min_distance(c: LinearCode) -> int:
     else:
         raise ValueError(f"instance too large: k={c.k}, n-k={r}")
     return next(j for j in range(1, c.n + 1) if dist[j] > 0)
+
+
+def certified_ml(llrs: np.ndarray, words: np.ndarray, d: int) -> np.ndarray:
+    """Frames whose codeword in `words` is the unique maximum-likelihood
+    decision for its row of the (frames, n) LLRs, by the sufficient test of
+    Taipale and Pursley (IEEE Trans. IT, 1991); d is any lower bound on the
+    code's distance. A row that is not a codeword may pass: the caller
+    rules those out.
+
+    With E the positions where the word differs from the channel's hard
+    decision, any other codeword differs from it in at least d places,
+    d - |E| of them outside E. So it correlates less when the smallest
+    d - |E| values of |LLR| outside E sum to more than those over E.
+    A margin of 1e-9 * sum |LLR| keeps rounding from certifying a tie:
+    every other codeword then correlates lower by over 2e-9 * sum |LLR|,
+    far beyond the rounding of any float64 correlation of n terms.
+    """
+    flips = words != (llrs < 0)
+    out = flips.sum(axis=1) < d
+    f = np.flatnonzero(out)   # only these can pass: sort no others
+    mags, flips = np.abs(llrs[f]), flips[f]
+    # E's entries read 0, so the d smallest are E's |E| zeros and the
+    # d - |E| smallest outside E
+    low = np.partition(np.where(flips, 0.0, mags), d - 1,
+                       axis=1)[:, :d].sum(axis=1)
+    on_e = np.where(flips, mags, 0.0).sum(axis=1)
+    out[f] = low - on_e > 1e-9 * mags.sum(axis=1)
+    return out
 
 
 def _macwilliams(dual_counts: list[int], n: int, dual_dim_log: int) -> list[int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
-from .codes import DualWordPool, LinearCode, check_pool, min_distance
+from .codes import DualWordPool, LinearCode, certified_ml, check_pool
 from .gf2 import BitMatrix, independent_rows, rank
 from .osd import osd_decode_batch
 
@@ -318,10 +318,10 @@ class GaedEnsemble:
     ties go to the lowest path index.
 
     Path 0 decodes every frame; paths 1.. decode only the frames where
-    `_certified` cannot prove path 0's codeword the unique maximum-likelihood
-    decision, so no later path could win there. Every output is bit for
-    bit that of decoding all frames on all paths, as each frame decodes
-    alike in any batch.
+    `certified_ml`, with d from `code.distance_bound()`, cannot prove path
+    0's codeword the unique maximum-likelihood decision, so no later path
+    could win there. Every output is bit for bit that of decoding all
+    frames on all paths, as each frame decodes alike in any batch.
     """
 
     def __init__(self, code: LinearCode, auts):
@@ -339,11 +339,7 @@ class GaedEnsemble:
         # mapped bit j XORs the hard bits in row j of the inverse's edge lists
         self.inv_vars = [TannerGraph.from_pcm(a.inverse).check_vars
                          for a in auts]
-        # any lower bound on the distance keeps the certificate exact
-        try:
-            self.d = min_distance(code)
-        except ValueError:      # too large to enumerate
-            self.d = 1
+        self.d = code.distance_bound()
 
     def _decode_path(self, p: int, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -360,28 +356,6 @@ class GaedEnsemble:
             np.pad(hard, ((0, 0), (0, 1)))[:, self.inv_vars[p]], axis=2)
         return hard, valid, iters, _correlation(hard, llrs)
 
-    def _certified(self, llrs: np.ndarray, hard: np.ndarray,
-                   valid: np.ndarray) -> np.ndarray:
-        """Frames whose codeword `hard` is the unique ML decision.
-
-        With E the positions where the word differs from the channel's hard
-        decision, any other codeword differs from it in at least d places,
-        d - |E| of them outside E. So it correlates less when the smallest
-        d - |E| values of |LLR| outside E sum to more than those over E.
-        A margin of 1e-9 * sum |LLR| keeps rounding from certifying a tie.
-        """
-        flips = hard != (llrs < 0)
-        out = valid & (flips.sum(axis=1) < self.d)
-        f = np.flatnonzero(out)   # only these can pass: sort no others
-        mags, flips = np.abs(llrs[f]), flips[f]
-        # E's entries read 0, so the d smallest are E's |E| zeros and the
-        # d - |E| smallest outside E
-        low = np.partition(np.where(flips, 0.0, mags), self.d - 1,
-                           axis=1)[:, :self.d].sum(axis=1)
-        on_e = np.where(flips, mags, 0.0).sum(axis=1)
-        out[f] = low - on_e > 1e-9 * mags.sum(axis=1)
-        return out
-
     def decode_batch(self, llrs: np.ndarray, cfg: BpConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
@@ -389,7 +363,7 @@ class GaedEnsemble:
         llrs = check_llr_batch(llrs, self.code.n)
         hard, valid, iters, corr = self._decode_path(0, llrs, cfg)
         path = np.zeros(llrs.shape[0], dtype=np.intp)
-        rest = np.flatnonzero(~self._certified(llrs, hard, valid))
+        rest = np.flatnonzero(~(valid & certified_ml(llrs, hard, self.d)))
         sub = llrs[rest]
         for p in range(1, len(self.plans)):
             h, v, i, c = self._decode_path(p, sub, cfg)

@@ -1,10 +1,12 @@
 """Ordered-statistics decoding (Fossorier and Lin, 1995) over batches of frames.
 
 One Gauss-Jordan elimination, vectorised over the frame axis on codewords
-packed into uint64 words, gives every frame its information set. One pass
-over the flip patterns then builds each chunk of candidates once, screens
-it by lookup tables, and scores in float64 only the frames where a
-candidate could beat the running best.
+packed into uint64 words, gives every frame its information set. Frames
+whose base candidate is certified the unique maximum-likelihood codeword
+by the test of Taipale and Pursley (IEEE Trans. IT, 1991) keep it. On the
+others one pass over the flip patterns builds each chunk of candidates
+once, screens it by lookup tables, and scores in float64 only the frames
+where a candidate could beat the running best.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .channel import check_llr_batch
-from .codes import LinearCode
+from .codes import LinearCode, certified_ml
 from .gf2 import bits_to_words, words_to_bits
 
 
@@ -106,6 +108,14 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     the sorted positions: the base's by a row sum, a pattern group's by
     one matrix-vector product over the group.
 
+    Only the frames whose base fails `certified_ml`, with d from
+    `code.distance_bound()`, search the flip patterns. A certified base
+    correlates higher than every other codeword by over 2e-9 * sum |LLR|,
+    far beyond the rounding of a float64 correlation, so no flip pattern
+    could replace it by a strictly greater score: the outputs are those of
+    searching every frame. The searched frames are cut into blocks of
+    the same size as a search of all frames would use.
+
     One pass runs over the patterns in candidate order, a chunk at a
     time. Each chunk's candidates are built once and screened with
     per-byte lookup tables of the sorted LLRs. A frame's chunk is scored
@@ -125,15 +135,17 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     hard_info = np.take_along_axis(w < 0, info, axis=1)
     best = np.bitwise_xor.reduce(
         np.where(hard_info[:, :, None], rows, np.uint64(0)), axis=1)
-    best_corr = ((1.0 - 2.0 * words_to_bits(best, n)) * w).sum(axis=1)
-    base = best.copy()
+    bits = words_to_bits(best, n)
+    best_corr = ((1.0 - 2.0 * bits) * w).sum(axis=1)
     groups = _flip_patterns(code.k, order)
     if groups:
+        rest = np.flatnonzero(~certified_ml(w, bits, code.distance_bound()))
         block = max(1, _OSD_CELL_BUDGET // (max(map(len, groups)) * n))
-        for lo in range(0, frames, block):
-            fs = slice(lo, lo + block)
-            _osd_block(rows[fs], base[fs], w[fs], groups, best[fs],
-                       best_corr[fs])
+        for lo in range(0, rest.size, block):
+            f = rest[lo:lo + block]
+            base, top, top_corr = best[f], best[f], best_corr[f]
+            _osd_block(rows[f], base, w[f], groups, top, top_corr)
+            best[f], best_corr[f] = top, top_corr
     hard = np.empty((frames, n), dtype=np.uint8)
     np.put_along_axis(hard, perm, words_to_bits(best, n), axis=1)
     return hard, best_corr

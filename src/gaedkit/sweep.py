@@ -170,6 +170,10 @@ class _Runtime:
             ens = GaedEnsemble(code, power_ensemble(aut, spec.powers))
             self.decode = partial(ens.decode_batch, cfg=cfg)
         elif spec.kind == "osd":
+            # the flip-pattern search reads d; filled here, the pickled
+            # code carries it, so no worker enumerates the code again
+            if spec.osd_order:
+                code.distance_bound()
             self.decode = partial(osd_decode_batch, code, order=spec.osd_order)
         else:
             if spec.kind == "rr":

@@ -11,17 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from gaedkit import decoders, osd
+from gaedkit import codes, decoders, osd
 from gaedkit.automorphisms import (GeneralizedAutomorphism,
                                    construct_code_with_automorphism)
 from gaedkit.channel import (LLR_CLAMP, LlrVector, awgn_llr_batch,
                              check_llr_batch)
-from gaedkit.codes import DualWordPool, LinearCode
+from gaedkit.codes import DualWordPool, LinearCode, certified_ml
 from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
                               PreprocessPlan, TannerGraph, bp_min_sum_batch,
                               box_plus, ml_decode_batch, osd_decode,
                               power_ensemble, stack_redundant_pcm)
-from gaedkit.gf2 import BitMatrix, independent_rows, invert, rank
+from gaedkit.gf2 import (BitMatrix, independent_rows, invert, rank,
+                         words_to_bits)
 from gaedkit.osd import osd_decode_batch
 
 mp.dps = 50
@@ -623,16 +624,33 @@ def test_gaed_falls_back_to_distance_one(monkeypatch):
     def too_large(code):
         raise ValueError("instance too large")
 
-    monkeypatch.setattr(decoders, "min_distance", too_large)
+    monkeypatch.setattr(codes, "min_distance", too_large)
     res = construct_code_with_automorphism(32, 16, 10, seed=6)
     ens = GaedEnsemble(res.code, power_ensemble(res.aut))
-    assert ens.d == 1
+    assert ens.d == res.code.distance_bound() == 1
     cfg = BpConfig(iterations=10)
     for ebn0 in (3.0, 5.0):
         llrs = random_codeword_llrs(res.code, 1024, ebn0, 7)
         for batch in (llrs, np.round(llrs)):
             assert_same_outputs(ens.decode_batch(batch, cfg),
                                 full_gaed_decode_batch(ens, batch, cfg))
+
+
+def test_distance_is_enumerated_once_per_code(monkeypatch):
+    real = codes.min_distance
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(codes, "min_distance", counting)
+    res = construct_code_with_automorphism(32, 16, 10, seed=6)
+    llrs = random_codeword_llrs(res.code, 64, 3.0, 6)
+    for _ in range(2):
+        assert GaedEnsemble(res.code, power_ensemble(res.aut)).d == 6
+        osd_decode_batch(res.code, llrs, 2)
+    assert calls == [res.code]
 
 
 def hamming_ensemble():
@@ -656,11 +674,8 @@ def test_certificate_demands_a_strict_margin():
         [1e-6, 1e-6, 1e-6, 5.0, 5.0, 5.0, 5.0],        # beyond it
     ])
     zero = np.zeros(llrs.shape, dtype=np.uint8)
-    valid = np.ones(len(llrs), dtype=bool)
-    assert ens._certified(llrs, zero, valid).tolist() == \
+    assert certified_ml(llrs, zero, ens.d).tolist() == \
         [False, False, True, False, False, True]
-    # a word that is not a codeword is never certified
-    assert not ens._certified(llrs, zero, ~valid).any()
 
 
 def test_certificate_refuses_d_or_more_disagreements():
@@ -670,11 +685,11 @@ def test_certificate_refuses_d_or_more_disagreements():
     llrs = np.full((2, 7), LLR_CLAMP)
     llrs[0, :3] = llrs[1, :4] = -1e-3
     zero = np.zeros(llrs.shape, dtype=np.uint8)
-    assert not ens._certified(llrs, zero, np.ones(2, dtype=bool)).any()
+    assert not certified_ml(llrs, zero, ens.d).any()
     # E may hold zero LLRs: the word 1111000 against the hard decision 0
     word = np.array([[1, 1, 1, 1, 0, 0, 0]], dtype=np.uint8)
     llrs = np.array([[0.0, 0.0, 0.0, 0.0, 9.0, 9.0, 9.0]])
-    assert not ens._certified(llrs, word, np.ones(1, dtype=bool)).any()
+    assert not certified_ml(llrs, word, ens.d).any()
 
 
 def test_certified_words_are_the_unique_ml_codewords():
@@ -686,7 +701,7 @@ def test_certified_words_are_the_unique_ml_codewords():
     llrs = random_codeword_llrs(res.code, 4096, 2.0, 9)
     for batch in (llrs, np.round(llrs)):
         hard, valid, _, _ = ens._decode_path(0, batch, BpConfig(iterations=5))
-        cert = ens._certified(batch, hard, valid)
+        cert = valid & certified_ml(batch, hard, ens.d)
         assert 0 < cert.sum() < len(batch)
         corr = np.sort(batch[cert] @ signs.T, axis=1)
         assert np.all(corr[:, -2] < corr[:, -1])
@@ -711,7 +726,11 @@ def test_later_paths_decode_only_uncertified_frames(monkeypatch):
     assert [len(x) for x in seen] == [256, 0, 0]
     llrs = random_codeword_llrs(res.code, 2048, 3.0, 12)
     hard, valid, _, _ = ens._decode_path(0, llrs, cfg)
-    rest = ~ens._certified(llrs, hard, valid)
+    cert = certified_ml(llrs, hard, ens.d)
+    # a word that is not a codeword is never certified: here some pass
+    # the test and must still go to the later paths
+    assert (cert & ~valid).any()
+    rest = ~(valid & cert)
     assert 0 < rest.sum() < len(llrs)
     seen.clear()
     ens.decode_batch(llrs, cfg)
@@ -1028,6 +1047,40 @@ def test_osd_tie_across_pattern_chunks_keeps_the_earlier():
     assert np.array_equal(per_frame_osd(code, llrs[0], 1)[0], earlier)
 
 
+def osd_base_certified(code, llrs):
+    """The LLRs sorted as `osd_decode_batch` sorts them, and which frames'
+    base candidates pass `certified_ml` in those coordinates."""
+    perm = np.argsort(-np.abs(llrs), axis=1, kind="stable")
+    w = np.take_along_axis(llrs, perm, axis=1)
+    base = np.take_along_axis(osd_decode_batch(code, llrs, 0)[0], perm, axis=1)
+    return w, certified_ml(w, base, code.distance_bound())
+
+
+def full_osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int):
+    """`osd_decode_batch` searching the flip patterns on every frame,
+    certified or not: the oracle of the skip."""
+    llrs = check_llr_batch(llrs, code.n)
+    frames, n = llrs.shape
+    perm = np.argsort(-np.abs(llrs), axis=1, kind="stable")
+    w = np.take_along_axis(llrs, perm, axis=1)
+    rows, info = osd._osd_reduce(code.g_numpy(), perm)
+    hard_info = np.take_along_axis(w < 0, info, axis=1)
+    best = np.bitwise_xor.reduce(
+        np.where(hard_info[:, :, None], rows, np.uint64(0)), axis=1)
+    best_corr = ((1.0 - 2.0 * words_to_bits(best, n)) * w).sum(axis=1)
+    base = best.copy()
+    groups = osd._flip_patterns(code.k, order)
+    if groups:
+        block = max(1, osd._OSD_CELL_BUDGET // (max(map(len, groups)) * n))
+        for lo in range(0, frames, block):
+            fs = slice(lo, lo + block)
+            osd._osd_block(rows[fs], base[fs], w[fs], groups, best[fs],
+                           best_corr[fs])
+    hard = np.empty((frames, n), dtype=np.uint8)
+    np.put_along_axis(hard, perm, words_to_bits(best, n), axis=1)
+    return hard, best_corr
+
+
 def test_osd_builds_each_pattern_chunk_once_per_block():
     """One pass: each chunk of flip patterns is built once per frame block,
     also on the frames where it is scored exactly."""
@@ -1037,11 +1090,16 @@ def test_osd_builds_each_pattern_chunk_once_per_block():
                           code.rate, rng)
     want, want_corr = osd_decode_batch(code, llrs, 3)
     real = osd._candidates
+    # only the frames whose base is not certified are searched
+    searched = int((~osd_base_certified(code, llrs)[1]).sum())
+    assert 0 < searched < 40
     # order 3 on k = 16: groups of 16, 120 and 560 patterns. A budget of
     # 4 * 560 * n bits makes 4-frame blocks; one of 200 * n bits makes
     # 1-frame blocks and splits the widest group into three chunks.
     for budget, block, chunks in ((4 * 560 * code.n, 4, (16, 120, 560)),
                                   (200 * code.n, 1, (16, 120, 200, 200, 160))):
+        blocks = [min(block, searched - lo)
+                  for lo in range(0, searched, block)]
         calls = []
 
         def counting(rows, base, combos):
@@ -1051,10 +1109,66 @@ def test_osd_builds_each_pattern_chunk_once_per_block():
         with mock.patch.object(osd, "_candidates", counting), \
                 mock.patch.object(osd, "_OSD_CELL_BUDGET", budget):
             hard, corr = osd_decode_batch(code, llrs, 3)
-        assert calls == [(block, c) for c in chunks] * (40 // block)
+        assert calls == [(b, c) for b in blocks for c in chunks]
         assert np.array_equal(hard, want)
         # a split group's products round differently from the whole group's
         assert np.allclose(corr, want_corr, rtol=1e-12, atol=0)
+
+
+# (32,16,10) constructions of distance 6, 5 and 1
+@pytest.mark.parametrize("seed,d", [(6, 6), (3, 5), (0, 1)])
+def test_osd_skip_matches_full_search(seed, d):
+    code = construct_code_with_automorphism(32, 16, 10, seed=seed).code
+    assert code.distance_bound() == d
+    # the default budget, and one that splits the widest group into chunks
+    for budget in (osd._OSD_CELL_BUDGET, 200 * code.n):
+        with mock.patch.object(osd, "_OSD_CELL_BUDGET", budget):
+            for ebn0 in (1.0, 2.0, 3.0, 4.0, 5.0):
+                llrs = random_codeword_llrs(code, 256, ebn0, seed)
+                # integer LLRs force correlation ties between candidates
+                for batch in (llrs, np.round(llrs)):
+                    for order in range(4):
+                        assert_same_outputs(
+                            osd_decode_batch(code, batch, order),
+                            full_osd_decode_batch(code, batch, order))
+
+
+def test_osd_searches_only_uncertified_frames():
+    code = construct_code_with_automorphism(32, 16, 10, seed=6).code
+    assert code.distance_bound() == 6
+    real = osd._osd_block
+    seen = []
+
+    def counting(rows, base, w, groups, best, best_corr):
+        seen.append(w.copy())
+        real(rows, base, w, groups, best, best_corr)
+
+    rng = np.random.default_rng(13)
+    sent = code.encode(rng.integers(0, 2, size=(256, code.k)))
+    llrs = random_codeword_llrs(code, 2048, 3.0, 13)
+    with mock.patch.object(osd, "_osd_block", counting):
+        osd_decode_batch(code, (1.0 - 2.0 * sent) * 4.0, 3)
+        assert seen == []
+        for batch in (llrs, np.round(llrs)):
+            seen.clear()
+            osd_decode_batch(code, batch, 3)
+            w, cert = osd_base_certified(code, batch)
+            assert 0 < cert.sum() < len(batch)
+            assert np.array_equal(np.concatenate(seen), w[~cert])
+
+
+def test_osd_certified_frames_are_ml_decisions():
+    # the (16,8,4) construction of seed 9 has distance 3 and 256 codewords
+    code = construct_code_with_automorphism(16, 8, 4, seed=9).code
+    assert code.distance_bound() == 3
+    llrs = random_codeword_llrs(code, 4096, 2.0, 9)
+    for batch in (llrs, np.round(llrs)):
+        cert = osd_base_certified(code, batch)[1]
+        assert 0 < cert.sum() < len(batch)
+        ml = ml_decode_batch(code, batch[cert])
+        for order in range(4):
+            hard = osd_decode_batch(code, batch, order)[0]
+            assert np.array_equal(hard[cert], ml)
 
 
 def test_osd_batch_bounds_memory_at_large_k():

@@ -9,7 +9,7 @@ import pytest
 from gaedkit.automorphisms import construct_code_with_automorphism
 from gaedkit.codes import LinearCode
 from gaedkit.gf2 import BitMatrix
-from gaedkit import sweep
+from gaedkit import codes, sweep
 from gaedkit.sweep import (_CHUNKS_PER_ROUND, CSV_HEADER, DecoderSpec,
                            FerRecord, SweepConfig, _Runtime, format_records,
                            run_sweep, write_csv)
@@ -180,6 +180,25 @@ def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
     restored = pickle.loads(pickle.dumps(runtime))
     task = (9, random_codewords, 0, 2.0, [(0, 300)])
     assert runtime(task) == restored(task)
+
+
+def test_osd_workers_never_enumerate_the_code(monkeypatch):
+    real = codes.min_distance
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(codes, "min_distance", counting)
+    res = construct_code_with_automorphism(16, 8, 4, seed=0)
+    runtime = _Runtime(res.code, DecoderSpec("osd", osd_order=2), None)
+    assert calls == [res.code]
+    # a worker receives the runtime pickled, as a process pool sends it
+    restored = pickle.loads(pickle.dumps(runtime))
+    calls.clear()
+    restored((9, False, 0, 2.0, [(0, 300)]))
+    assert calls == []
 
 
 @pytest.fixture
