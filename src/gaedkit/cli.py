@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .automorphisms import (ConstructionError, GeneralizedAutomorphism,
@@ -30,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE)
 
 
+@lru_cache(maxsize=1)   # built on first use: in-process callers reuse it
 def _build_parser() -> _Parser:
     p = _Parser(prog="gaedkit",
                 description="Construct codes with designed automorphisms, "

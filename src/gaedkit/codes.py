@@ -8,13 +8,13 @@ of that null space in its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
-from .gf2 import (BitMatrix, independent_rows, ints_to_words, null_space_basis,
-                  rank, words_to_bits, words_to_ints, xor_rows)
+from .gf2 import (BitMatrix, Reducer, independent_rows, ints_to_words,
+                  null_space_basis, rank, words_to_bits, words_to_ints,
+                  xor_rows)
 
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
@@ -304,21 +304,40 @@ def check_pool(c: LinearCode, pool: DualWordPool) -> None:
     """Confirm every pool word is a dual codeword of c."""
     if pool.n != c.n:
         raise ValueError("pool length does not match the code")
-    # row w of the product is G @ w, the XOR of the few columns of G that
-    # a light pool word picks
-    if not (BitMatrix(pool.words, c.n) @ c.g.transpose()).is_zero():
+    # one packed parity product: entry (w, i) XORs word w AND row i of G
+    # over the word columns, so its popcount's parity is G_i . w
+    words, g = ints_to_words(pool.words, c.n), ints_to_words(list(c.g), c.n)
+    both = np.zeros((len(words), len(g)), dtype=np.uint64)
+    for j in range(words.shape[1]):
+        both ^= words[:, j, None] & g[:, j]
+    if (np.bitwise_count(both) & 1).any():
         raise ValueError("pool contains a word outside the dual code")
 
 
 def four_cycle_count(m: BitMatrix) -> int:
     """Number of length-4 cycles in the bipartite adjacency graph of m."""
-    total = 0
-    bits = list(m)
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            shared = (bits[i] & bits[j]).bit_count()
-            total += shared * (shared - 1) // 2
-    return total
+    return int(_four_cycles(ints_to_words(list(m), m.cols)))
+
+
+def _four_cycles(rows: np.ndarray) -> np.ndarray:
+    """Four-cycle counts of stacked packed matrices, (..., rows, words):
+    C(s, 2) summed over the pairs of rows that share s columns."""
+    shared = np.zeros(rows.shape[:-1] + rows.shape[-2:-1], dtype=np.int64)
+    for j in range(rows.shape[-1]):
+        col = rows[..., j]
+        shared += np.bitwise_count(col[..., :, None] & col[..., None, :])
+    return np.triu(shared * (shared - 1) // 2, 1).sum(axis=(-2, -1))
+
+
+def _residue(pivots: list[tuple[int, tuple[int, int]]], v: int) -> int:
+    """v with every pivot bit cleared by the stored row leading there, the
+    Reducer's (pivot, (row, witness)) items in descending pivot order: the
+    one vector of v's coset of their span that is zero at every pivot, so
+    a linear map whose kernel is the span."""
+    for p, (row, _) in pivots:
+        if v >> p & 1:
+            v ^= row
+    return v
 
 
 def optimize_pcm(c: LinearCode, pool: DualWordPool,
@@ -328,32 +347,66 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     Greedy independent selection in weight order gives the minimum possible
     total weight. The dual's bases form a matroid, so every tie-break order
     within equal weights reaches that same total, and the score is the
-    four-cycle count alone: random tie-break orders are tried _PCM_TRIALS
-    times and the first with the fewest four-cycles is kept. The returned
-    code has the identical null space.
+    four-cycle count alone: _PCM_TRIALS tie-break orders are tried, the
+    pool's own (weight, value) order first and then random ones, and the
+    first with the fewest four-cycles is kept.
+
+    The orders share one elimination. Once a greedy pass is through the
+    lighter weight classes, its picks span exactly their span S, whatever
+    the order, so in the next class it picks a word iff the word's residue
+    modulo S is outside the span of the residues it picked before. Each
+    class's residues are computed once, against an echelon basis of S,
+    lightest class first, until the ranks reach n - k. A trial then
+    only finds a basis of each class's residues in its own order, and
+    stops at the rank the class adds: its picks are exactly those of a
+    greedy pass over the whole pool in that order. The returned code has
+    the identical null space.
     """
     r = c.n - c.k
-    words = list(pool.words)
     check_pool(c, pool)
+    words = pool.words
+    # the pool is sorted by (weight, value): each weight class is a range
     weights = [w.bit_count() for w in words]
+    ends = [i for i in range(1, len(words)) if weights[i] != weights[i - 1]]
+    span = Reducer()    # the span of the classes walked so far
+    classes = []        # (pool indices, their nonzero residues, rank added)
+    for lo, hi in zip([0] + ends, ends + [len(words)]):
+        if len(span) == r:
+            break
+        pivots = sorted(span.pivots.items(), reverse=True)
+        residues = {i: v for i in range(lo, hi)
+                    if (v := _residue(pivots, words[i]))}
+        before = len(span)
+        for v in residues.values():
+            span.insert(v)
+        if len(span) > before:
+            classes.append((np.array(list(residues)), list(residues.values()),
+                            len(span) - before))
+    if len(span) < r:
+        raise ValueError("pool does not span the dual code")
     rng = np.random.default_rng(seed)
-    best: int | None = None
-    best_rows: list[int] = []
+    trials = []
     for trial in range(_PCM_TRIALS):
-        if trial == 0:
-            order = range(len(words))  # the pool's own (weight, value) order
-        else:
-            # the jitter is a permutation, so it breaks every weight tie
-            order = np.lexsort((rng.permutation(len(words)), weights)).tolist()
-        picks = islice(independent_rows(words[i] for i in order), r)
-        rows = sorted((words[order[j]] for j in picks),
-                      key=lambda v: (v.bit_count(), v))
-        if len(rows) < r:
-            raise ValueError("pool does not span the dual code")
-        score = four_cycle_count(BitMatrix(rows, c.n))
-        if best is None or score < best:
-            best, best_rows = score, rows
-    new_h = BitMatrix(best_rows, c.n)
+        # the jitter is a permutation, so it breaks every weight tie; a
+        # class's order by its own entries of it is lexsort's tie order
+        jitter = rng.permutation(len(words)) if trial else None
+        picks = []
+        for idx, residues, quota in classes:
+            if quota == len(idx):     # independent: every order takes all
+                picks.extend(idx.tolist())
+                continue
+            order = (range(len(idx)) if jitter is None
+                     else np.argsort(jitter[idx]).tolist())
+            span = Reducer()
+            for i in order:
+                if span.insert(residues[i]):
+                    picks.append(int(idx[i]))
+                    if len(span) == quota:
+                        break
+        trials.append(sorted(picks))  # pool order: by (weight, value)
+    # argmin keeps the first trial with the fewest four-cycles
+    scores = _four_cycles(ints_to_words(words, c.n)[trials])
+    new_h = BitMatrix([words[i] for i in trials[int(np.argmin(scores))]], c.n)
     if rank(new_h.vstack(c.h)) != r:
         raise AssertionError("optimized PCM changed the code")
     return LinearCode.from_pcm(new_h)

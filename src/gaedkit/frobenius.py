@@ -103,12 +103,13 @@ def _chain(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:
     size on entry, until one is dependent; that vector's witness bits from
     bit start up are exactly the low coefficients of f.
     """
-    start = len(span)
-    j = 0
-    while span.insert(u, 1 << (start + j)):
+    start = j = len(span)
+    # a residue leads at a free bit: insert reduces it no further
+    while (red := span.reduce(u))[0]:
+        span.insert(red[0], red[1] ^ (1 << j))
         u = _times(tables, u)
         j += 1
-    return Gf2Poly((1 << j) ^ (span.reduce(u)[1] >> start))
+    return Gf2Poly((1 << (j - start)) ^ (red[1] >> start))
 
 
 def _conductor(tables: _Tables, span: Reducer, u: int) -> Gf2Poly:

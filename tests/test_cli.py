@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaedkit.automorphisms import verify_automorphism
+from gaedkit import cli
 from gaedkit.cli import main
 from gaedkit.codes import LinearCode
 from gaedkit.gf2 import BitMatrix
@@ -50,6 +51,37 @@ def test_construct_then_verify_roundtrip(tmp_path, capsys):
     assert rc == 0
     assert len(lines) == 12
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+def cli_session(tmp_path, capsys, fresh):
+    """Exit code, stdout and stderr of construct, a usage error, verify,
+    dmin and construct again, all in this process; with fresh, every call
+    builds its own parser."""
+    out = str(tmp_path / "code")
+    calls = [["construct", "-n", "16", "-k", "8", "--delta", "4",
+              "--out", out],
+             ["construct", "-n", "16", "--out", out],   # -k missing: exit 1
+             ["verify", out], ["dmin", str(Path(out) / "H.txt")],
+             ["construct", "-n", "16", "-k", "8", "--delta", "4", "--seed",
+              "1", "--out", out]]
+    seen = []
+    for argv in calls:
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        seen.append((rc, *capsys.readouterr()))
+    return seen
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    fresh = cli_session(tmp_path, capsys, fresh=True)
+    assert [rc for rc, _, _ in fresh] == [0, 1, 0, 0, 0]
+    assert "the following arguments are required: -k" in fresh[1][2]
+    assert cli_session(tmp_path, capsys, fresh=False) == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("seed,unchecked", [(0, "4"), (9, "")])

@@ -2,12 +2,12 @@
 
 import heapq
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaedkit import codes
@@ -16,7 +16,7 @@ from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
                            low_weight_dual_search, min_distance, optimize_pcm,
                            reduce_zero_columns, weight_distribution)
 from gaedkit.decoders import stack_redundant_pcm
-from gaedkit.gf2 import BitMatrix, rank, xor_rows
+from gaedkit.gf2 import BitMatrix, independent_rows, rank, xor_rows
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -257,12 +257,12 @@ def test_low_weight_search_across_many_chunks(monkeypatch):
 
 
 @st.composite
-def full_rank_codes(draw):
-    """Codes with n <= 20 and r <= 10: a systematic H = [I | A] whose rows
-    are mixed by a unit lower-triangular map and whose columns are permuted,
-    so every full-rank code can be drawn."""
+def full_rank_codes(draw, min_n=2, max_n=20):
+    """Codes with min_n <= n <= max_n and r <= 10: a systematic H = [I | A]
+    whose rows are mixed by a unit lower-triangular map and whose columns
+    are permuted, so every full-rank code in that range can be drawn."""
     r = draw(st.integers(1, 10))
-    n = draw(st.integers(r + 1, 20))
+    n = draw(st.integers(max(r + 1, min_n), max_n))
     rows = [(1 << i) | (draw(st.integers(0, (1 << (n - r)) - 1)) << r)
             for i in range(r)]
     for i in range(1, r):
@@ -352,6 +352,26 @@ def test_four_cycle_count_matches_brute():
     assert four_cycle_count(BitMatrix.identity(4)) == 0
 
 
+def pair_loop_four_cycles(rows) -> int:
+    """The former four_cycle_count: a Python loop over the row pairs."""
+    total = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            shared = (rows[i] & rows[j]).bit_count()
+            total += shared * (shared - 1) // 2
+    return total
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(data=st.data(), n=st.sampled_from([0, 1, 7, 63, 64, 65, 130]),
+       count=st.integers(0, 12))
+def test_four_cycle_count_matches_pair_loop(data, n, count):
+    # 0 and 1 rows have no pairs; past 64 columns a row spans two words
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                              min_size=count, max_size=count))
+    assert four_cycle_count(BitMatrix(rows, n)) == pair_loop_four_cycles(rows)
+
+
 def test_optimize_pcm_preserves_code_and_lowers_weight():
     rng = np.random.default_rng(56)
     for _ in range(20):
@@ -402,13 +422,24 @@ def test_dual_word_pool_sorts_dedups_and_checks_range():
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(weights=st.lists(st.integers(1, 4), min_size=1, max_size=60),
-       seed=st.integers(0, 2**32 - 1))
-def test_lexsort_tie_break_matches_sorted_key(weights, seed):
-    # optimize_pcm's jittered trial order: few distinct weights, many ties
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lexsort_tie_break_matches_sorted_key(weights, seed, data):
+    # optimize_pcm orders the kept words of each weight class of a
+    # weight-sorted pool by their entries of a jitter permutation: class by
+    # class, the order of the former lexsort((jitter, weights)) over the
+    # pool, restricted to the kept words. Few distinct weights: many ties
+    weights = np.array(sorted(weights))
     jitter = np.random.default_rng(seed).permutation(len(weights))
-    order = np.lexsort((jitter, weights)).tolist()
-    assert order == sorted(range(len(weights)),
-                           key=lambda i: (weights[i], jitter[i]))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(weights),
+                                       max_size=len(weights))))
+    lex = np.lexsort((jitter, weights)).tolist()
+    assert lex == sorted(range(len(weights)),
+                         key=lambda i: (weights[i], jitter[i]))
+    per_class = []
+    for w in sorted(set(weights.tolist())):
+        idx = np.flatnonzero((weights == w) & keep)
+        per_class += idx[np.argsort(jitter[idx])].tolist()
+    assert per_class == [i for i in lex if keep[i]]
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -425,6 +456,119 @@ def test_check_pool_matches_generator_product(c, seed):
                 check_pool(c, pool)
         else:
             check_pool(c, pool)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(c=st.one_of(full_rank_codes(), full_rank_codes(min_n=65, max_n=130)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_check_pool_matches_generator_product_on_whole_pools(c, seed, data):
+    # many words per pool, one or more packed words per row: the pool is
+    # refused exactly when some word has an odd overlap with a row of G
+    rng = np.random.default_rng(seed)
+    hrows = list(c.h)
+    words = [xor_rows(hrows, int(m))
+             for m in rng.integers(1, 1 << c.h.rows, size=6)]
+    words += [w for w in BitMatrix.random(data.draw(st.integers(0, 3)), c.n,
+                                          rng) if w]
+    pool = DualWordPool(tuple(words), c.n)
+    if any(c.g.mat_vec(w) for w in pool.words):
+        with pytest.raises(ValueError, match="outside the dual code"):
+            check_pool(c, pool)
+    else:
+        check_pool(c, pool)
+
+
+def greedy_trials_oracle(c, pool, seed):
+    """The former optimize_pcm: a full greedy pass over the pool per trial,
+    in lexsort's jittered order, each scored by the pair loop, behind the
+    former check_pool's row-by-row product. Returns (rows, score, code)."""
+    r = c.n - c.k
+    words = list(pool.words)
+    if pool.n != c.n:
+        raise ValueError("pool length does not match the code")
+    if not (BitMatrix(pool.words, c.n) @ c.g.transpose()).is_zero():
+        raise ValueError("pool contains a word outside the dual code")
+    weights = [w.bit_count() for w in words]
+    rng = np.random.default_rng(seed)
+    best = None
+    best_rows = []
+    for trial in range(codes._PCM_TRIALS):
+        if trial == 0:
+            order = range(len(words))
+        else:
+            order = np.lexsort((rng.permutation(len(words)), weights)).tolist()
+        picks = islice(independent_rows(words[i] for i in order), r)
+        rows = sorted((words[order[j]] for j in picks),
+                      key=lambda v: (v.bit_count(), v))
+        if len(rows) < r:
+            raise ValueError("pool does not span the dual code")
+        score = pair_loop_four_cycles(rows)
+        if best is None or score < best:
+            best, best_rows = score, rows
+    new_h = BitMatrix(best_rows, c.n)
+    if rank(new_h.vstack(c.h)) != r:
+        raise AssertionError("optimized PCM changed the code")
+    return best_rows, best, LinearCode.from_pcm(new_h)
+
+
+def dual_words(c):
+    return [w for w in span_words(list(c.h)) if w]
+
+
+@st.composite
+def pcm_pools(draw, c):
+    """Pools of the shapes construction and tests feed optimize_pcm."""
+    kind = draw(st.sampled_from(["one class", "whole dual", "light + H",
+                                 "light", "two classes"]))
+    if kind == "one class":
+        # a single weight class, the one of largest rank: when it spans,
+        # the lightest class alone spans
+        by_weight = {}
+        for w in dual_words(c):
+            by_weight.setdefault(w.bit_count(), []).append(w)
+        words = max(by_weight.values(),
+                    key=lambda ws: rank(BitMatrix(ws, c.n)))
+    elif kind == "whole dual":
+        # up to 2^10 - 1 words over at most n weights: many ties
+        words = dual_words(c)
+    elif kind == "two classes":
+        lightest = sorted({w.bit_count() for w in dual_words(c)})[:2]
+        words = [w for w in dual_words(c) if w.bit_count() in lightest]
+    else:
+        target = draw(st.integers(1, 3 * (c.n - c.k)))
+        words = low_weight_dual_search(c, target).words
+        if kind == "light + H":
+            # construction's pool: the light words may not span, H's rows do
+            words += tuple(c.h)
+    return DualWordPool(tuple(words), c.n)
+
+
+def optimize_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(derandomize=True, deadline=None, database=None,
+          max_examples=400)
+@given(c=st.one_of(full_rank_codes(), full_rank_codes(min_n=65, max_n=130)),
+       seed=st.integers(0, 2**63 - 1), data=st.data())
+@example(c=hamming74(), seed=5, data=None)
+def test_optimize_pcm_matches_greedy_trials_oracle(c, seed, data):
+    if data is None:    # the simplex dual: seven words of weight 4
+        pool = DualWordPool(tuple(dual_words(c)), c.n)
+    else:
+        pool = data.draw(pcm_pools(c))
+    new = optimize_or_error(optimize_pcm, c, pool, seed)
+    old = optimize_or_error(greedy_trials_oracle, c, pool, seed)
+    if isinstance(old, str):
+        assert new == old
+        return
+    rows, score, code = old
+    assert list(new.h) == rows
+    assert four_cycle_count(new.h) == score
+    assert new.h == code.h and new.g == code.g
 
 
 def test_optimize_pcm_rejects_bad_pools():
