@@ -387,21 +387,21 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     rng = np.random.default_rng(seed)
     trials = []
     for trial in range(_PCM_TRIALS):
-        # the jitter is a permutation, so it breaks every weight tie; a
-        # class's order by its own entries of it is lexsort's tie order
-        jitter = rng.permutation(len(words)) if trial else None
+        # trial 0 keeps the pool's order; the others' jitter is a random
+        # permutation, so it breaks every weight tie, and a class's order by
+        # its own entries of the jitter is lexsort's tie order
+        jitter = (rng.permutation(len(words)) if trial
+                  else np.arange(len(words)))
         picks = []
         for idx, residues, quota in classes:
             if quota == len(idx):     # independent: every order takes all
                 picks.extend(idx.tolist())
                 continue
-            order = (range(len(idx)) if jitter is None
-                     else np.argsort(jitter[idx]).tolist())
-            span = Reducer()
-            for i in order:
-                if span.insert(residues[i]):
+            picked = Reducer()
+            for i in np.argsort(jitter[idx]).tolist():
+                if picked.insert(residues[i]):
                     picks.append(int(idx[i]))
-                    if len(span) == quota:
+                    if len(picked) == quota:
                         break
         trials.append(sorted(picks))  # pool order: by (weight, value)
     # argmin keeps the first trial with the fewest four-cycles
