@@ -369,7 +369,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     weights = [w.bit_count() for w in words]
     ends = [i for i in range(1, len(words)) if weights[i] != weights[i - 1]]
     span = Reducer()    # the span of the classes walked so far
-    classes = []        # (pool indices, their nonzero residues, rank added)
+    classes = []        # ({pool index: nonzero residue}, rank added)
     for lo, hi in zip([0] + ends, ends + [len(words)]):
         if len(span) == r:
             break
@@ -380,8 +380,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
         for v in residues.values():
             span.insert(v)
         if len(span) > before:
-            classes.append((np.array(list(residues)), list(residues.values()),
-                            len(span) - before))
+            classes.append((residues, len(span) - before))
     if len(span) < r:
         raise ValueError("pool does not span the dual code")
     rng = np.random.default_rng(seed)
@@ -390,17 +389,17 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
         # trial 0 keeps the pool's order; the others' jitter is a random
         # permutation, so it breaks every weight tie, and a class's order by
         # its own entries of the jitter is lexsort's tie order
-        jitter = (rng.permutation(len(words)) if trial
-                  else np.arange(len(words)))
+        jitter = (rng.permutation(len(words)).tolist() if trial
+                  else range(len(words)))
         picks = []
-        for idx, residues, quota in classes:
-            if quota == len(idx):     # independent: every order takes all
-                picks.extend(idx.tolist())
+        for residues, quota in classes:
+            if quota == len(residues):  # independent: every order takes all
+                picks.extend(residues)
                 continue
             picked = Reducer()
-            for i in np.argsort(jitter[idx]).tolist():
+            for i in sorted(residues, key=jitter.__getitem__):
                 if picked.insert(residues[i]):
-                    picks.append(int(idx[i]))
+                    picks.append(i)
                     if len(picked) == quota:
                         break
         trials.append(sorted(picks))  # pool order: by (weight, value)

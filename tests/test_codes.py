@@ -424,21 +424,21 @@ def test_dual_word_pool_sorts_dedups_and_checks_range():
 @given(weights=st.lists(st.integers(1, 4), min_size=1, max_size=60),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_lexsort_tie_break_matches_sorted_key(weights, seed, data):
-    # optimize_pcm orders the kept words of each weight class of a
+    # optimize_pcm sorts the kept words of each weight class of a
     # weight-sorted pool by their entries of a jitter permutation: class by
     # class, the order of the former lexsort((jitter, weights)) over the
     # pool, restricted to the kept words. Few distinct weights: many ties
-    weights = np.array(sorted(weights))
-    jitter = np.random.default_rng(seed).permutation(len(weights))
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(weights),
-                                       max_size=len(weights))))
+    weights = sorted(weights)
+    jitter = np.random.default_rng(seed).permutation(len(weights)).tolist()
+    keep = data.draw(st.lists(st.booleans(), min_size=len(weights),
+                              max_size=len(weights)))
     lex = np.lexsort((jitter, weights)).tolist()
     assert lex == sorted(range(len(weights)),
                          key=lambda i: (weights[i], jitter[i]))
     per_class = []
-    for w in sorted(set(weights.tolist())):
-        idx = np.flatnonzero((weights == w) & keep)
-        per_class += idx[np.argsort(jitter[idx])].tolist()
+    for w in sorted(set(weights)):
+        kept = [i for i in range(len(weights)) if weights[i] == w and keep[i]]
+        per_class += sorted(kept, key=jitter.__getitem__)
     assert per_class == [i for i in lex if keep[i]]
 
 
