@@ -8,6 +8,7 @@ of that null space in its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -330,10 +331,10 @@ def _four_cycles(rows: np.ndarray) -> np.ndarray:
 
 
 def _residue(pivots: list[tuple[int, tuple[int, int]]], v: int) -> int:
-    """v with every pivot bit cleared by the stored row leading there, the
+    """v with each pivot bit cleared by the row stored there, given a
     Reducer's (pivot, (row, witness)) items in descending pivot order: the
-    one vector of v's coset of their span that is zero at every pivot, so
-    a linear map whose kernel is the span."""
+    one vector of v + span that is zero at every pivot, so the map is
+    linear, with the span as its kernel."""
     for p, (row, _) in pivots:
         if v >> p & 1:
             v ^= row
@@ -365,17 +366,15 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     r = c.n - c.k
     check_pool(c, pool)
     words = pool.words
-    # the pool is sorted by (weight, value): each weight class is a range
-    weights = [w.bit_count() for w in words]
-    ends = [i for i in range(1, len(words)) if weights[i] != weights[i - 1]]
     span = Reducer()    # the span of the classes walked so far
     classes = []        # ({pool index: nonzero residue}, rank added)
-    for lo, hi in zip([0] + ends, ends + [len(words)]):
+    # the pool is sorted by (weight, value): each weight class is one run
+    by_weight = groupby(range(len(words)), key=lambda i: words[i].bit_count())
+    for _, run in by_weight:
         if len(span) == r:
             break
         pivots = sorted(span.pivots.items(), reverse=True)
-        residues = {i: v for i in range(lo, hi)
-                    if (v := _residue(pivots, words[i]))}
+        residues = {i: v for i in run if (v := _residue(pivots, words[i]))}
         before = len(span)
         for v in residues.values():
             span.insert(v)

@@ -53,7 +53,7 @@ def test_construct_then_verify_roundtrip(tmp_path, capsys):
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
-def cli_session(tmp_path, capsys, fresh):
+def cli_calls(tmp_path, capsys, fresh):
     """Exit code, stdout and stderr of construct, a usage error, verify,
     dmin and construct again, all in this process; with fresh, every call
     builds its own parser."""
@@ -77,10 +77,10 @@ def cli_session(tmp_path, capsys, fresh):
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
-    fresh = cli_session(tmp_path, capsys, fresh=True)
+    fresh = cli_calls(tmp_path, capsys, fresh=True)
     assert [rc for rc, _, _ in fresh] == [0, 1, 0, 0, 0]
     assert "the following arguments are required: -k" in fresh[1][2]
-    assert cli_session(tmp_path, capsys, fresh=False) == fresh
+    assert cli_calls(tmp_path, capsys, fresh=False) == fresh
     assert cli._build_parser() is cli._build_parser()
 
 
