@@ -305,29 +305,31 @@ def check_pool(c: LinearCode, pool: DualWordPool) -> None:
     """Confirm every pool word is a dual codeword of c."""
     if pool.n != c.n:
         raise ValueError("pool length does not match the code")
-    # one packed parity product: entry (w, i) XORs word w AND row i of G
-    # over the word columns, so its popcount's parity is G_i . w
     words, g = ints_to_words(pool.words, c.n), ints_to_words(list(c.g), c.n)
-    both = np.zeros((len(words), len(g)), dtype=np.uint64)
-    for j in range(words.shape[1]):
-        both ^= words[:, j, None] & g[:, j]
-    if (np.bitwise_count(both) & 1).any():
+    if (_overlaps(words, g) & 1).any():  # odd overlap: G_i . w = 1
         raise ValueError("pool contains a word outside the dual code")
 
 
 def four_cycle_count(m: BitMatrix) -> int:
     """Number of length-4 cycles in the bipartite adjacency graph of m."""
-    return int(_four_cycles(ints_to_words(list(m), m.cols)))
+    return _four_cycles(ints_to_words(list(m), m.cols))
 
 
-def _four_cycles(rows: np.ndarray) -> np.ndarray:
-    """Four-cycle counts of stacked packed matrices, (..., rows, words):
-    C(s, 2) summed over the pairs of rows that share s columns."""
-    shared = np.zeros(rows.shape[:-1] + rows.shape[-2:-1], dtype=np.int64)
-    for j in range(rows.shape[-1]):
-        col = rows[..., j]
-        shared += np.bitwise_count(col[..., :, None] & col[..., None, :])
-    return np.triu(shared * (shared - 1) // 2, 1).sum(axis=(-2, -1))
+def _four_cycles(rows: np.ndarray) -> int:
+    """C(s, 2) summed over the pairs of packed rows that share s columns.
+    The overlap matrix is symmetric, so its off-diagonal s(s - 1) entries
+    sum to four times that count."""
+    pairs = _overlaps(rows, rows)
+    pairs *= pairs - 1
+    return int(pairs.sum() - pairs.trace()) // 4
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) counts the columns that packed rows a_i and b_j share."""
+    shared = np.zeros((len(a), len(b)), dtype=np.int64)
+    for j in range(a.shape[1]):
+        shared += np.bitwise_count(a[:, j, None] & b[:, j])
+    return shared
 
 
 def _residue(pivots: list[tuple[int, tuple[int, int]]], v: int) -> int:
@@ -356,12 +358,14 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     lighter weight classes, its picks span exactly their span S, whatever
     the order, so in the next class it picks a word iff the word's residue
     modulo S is outside the span of the residues it picked before. Each
-    class's residues are computed once, against an echelon basis of S,
-    lightest class first, until the ranks reach n - k. A trial then
-    only finds a basis of each class's residues in its own order, and
-    stops at the rank the class adds: its picks are exactly those of a
-    greedy pass over the whole pool in that order. The returned code has
-    the identical null space.
+    class's residues are computed once, lightest class first, until the
+    ranks reach n - k: the pivot bits of an echelon basis of S are cleared
+    in descending order, which leaves the one vector of v + S that is zero
+    at every pivot, a linear map with kernel S. A trial then only finds a
+    basis of each class's residues in its own order, and stops at the rank
+    the class adds: its picks are exactly those of a greedy pass over the
+    whole pool in that order. Each trial's four-cycles are counted on its
+    packed rows. The returned code has the identical null space.
     """
     r = c.n - c.k
     check_pool(c, pool)
@@ -383,7 +387,9 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     if len(span) < r:
         raise ValueError("pool does not span the dual code")
     rng = np.random.default_rng(seed)
-    trials = []
+    packed = ints_to_words(words, c.n)
+    best: int | None = None
+    best_picks: list[int] = []
     for trial in range(_PCM_TRIALS):
         # trial 0 keeps the pool's order; the others' jitter is a random
         # permutation, so it breaks every weight tie, and a class's order by
@@ -392,19 +398,17 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
                   else range(len(words)))
         picks = []
         for residues, quota in classes:
-            if quota == len(residues):  # independent: every order takes all
-                picks.extend(residues)
-                continue
             picked = Reducer()
             for i in sorted(residues, key=jitter.__getitem__):
                 if picked.insert(residues[i]):
                     picks.append(i)
                     if len(picked) == quota:
                         break
-        trials.append(sorted(picks))  # pool order: by (weight, value)
-    # argmin keeps the first trial with the fewest four-cycles
-    scores = _four_cycles(ints_to_words(words, c.n)[trials])
-    new_h = BitMatrix([words[i] for i in trials[int(np.argmin(scores))]], c.n)
+        picks.sort()  # pool order: by (weight, value)
+        score = _four_cycles(packed[picks])
+        if best is None or score < best:
+            best, best_picks = score, picks
+    new_h = BitMatrix([words[i] for i in best_picks], c.n)
     if rank(new_h.vstack(c.h)) != r:
         raise AssertionError("optimized PCM changed the code")
     return LinearCode.from_pcm(new_h)

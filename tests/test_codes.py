@@ -443,39 +443,28 @@ def test_lexsort_tie_break_matches_sorted_key(weights, seed, data):
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(c=full_rank_codes(), seed=st.integers(0, 2**32 - 1))
+@given(c=st.one_of(full_rank_codes(), full_rank_codes(min_n=65, max_n=130)),
+       seed=st.integers(0, 2**32 - 1))
 def test_check_pool_matches_generator_product(c, seed):
+    # rows of one or more packed words: a pool is refused exactly when some
+    # word has an odd overlap with a row of G
     rng = np.random.default_rng(seed)
-    dual = [int(v) for v in rng.integers(1, 1 << c.n, size=20)]
-    dual += [xor_rows(list(c.h), m)
-             for m in rng.integers(1, 1 << c.h.rows, size=5).tolist()]
-    for w in dual:
-        pool = DualWordPool((w,), c.n)
-        if c.g.mat_vec(w) != 0:
+    randoms = [w for w in BitMatrix.random(20, c.n, rng) if w]
+    duals = [xor_rows(list(c.h), int(m))
+             for m in rng.integers(1, 1 << c.h.rows, size=5)]
+
+    def agrees(words):
+        pool = DualWordPool(tuple(words), c.n)
+        if any(c.g.mat_vec(w) for w in pool.words):
             with pytest.raises(ValueError, match="outside the dual code"):
                 check_pool(c, pool)
         else:
             check_pool(c, pool)
 
-
-@settings(derandomize=True, deadline=None, database=None)
-@given(c=st.one_of(full_rank_codes(), full_rank_codes(min_n=65, max_n=130)),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_check_pool_matches_generator_product_on_whole_pools(c, seed, data):
-    # many words per pool, one or more packed words per row: the pool is
-    # refused exactly when some word has an odd overlap with a row of G
-    rng = np.random.default_rng(seed)
-    hrows = list(c.h)
-    words = [xor_rows(hrows, int(m))
-             for m in rng.integers(1, 1 << c.h.rows, size=6)]
-    words += [w for w in BitMatrix.random(data.draw(st.integers(0, 3)), c.n,
-                                          rng) if w]
-    pool = DualWordPool(tuple(words), c.n)
-    if any(c.g.mat_vec(w) for w in pool.words):
-        with pytest.raises(ValueError, match="outside the dual code"):
-            check_pool(c, pool)
-    else:
-        check_pool(c, pool)
+    for w in randoms + duals:
+        agrees([w])
+    agrees(duals)   # whole pools, with and without words from outside
+    agrees(duals + randoms[:int(rng.integers(0, 4))])
 
 
 def greedy_trials_oracle(c, pool, seed):
