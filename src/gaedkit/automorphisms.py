@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
 from .codes import (DualWordPool, LinearCode, ReductionError,
                     low_weight_dual_search, optimize_pcm, reduce_zero_columns)
 from .frobenius import _deflate, invariant_factors
-from .gf2 import BitMatrix, SingularMatrixError, free_columns, invert, rank
+from .gf2 import (BitMatrix, SingularMatrixError, _check_integers, invert,
+                  rank)
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,11 @@ class Ccm:
 def compute_ccm(c: LinearCode) -> Ccm:
     """Characterizing basis for c: A^-1 is H over unit rows.
 
-    Below H's rows come the unit rows e_f of H's free columns, the ones
-    where `null_space_basis` puts its single 1. So A's last k columns are
-    the null-space vectors with a single 1 among those columns: for a
-    `LinearCode.from_pcm` code, G's rows.
+    Below H's rows come the unit rows e_f of H's free columns: the lowest
+    bit of each row of G, its one 1 among those columns. So A's last k
+    columns are G's rows.
     """
-    basis_inv = BitMatrix(list(c.h) + [1 << f for f in free_columns(c.h)], c.n)
+    basis_inv = BitMatrix(list(c.h) + [g & -g for g in c.g], c.n)
     return Ccm(code=c, basis=invert(basis_inv), basis_inv=basis_inv)
 
 
@@ -265,6 +266,8 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
     PCM. Block orderings that do not exist and reductions that break
     invertibility are counted and resampled, up to max_resamples.
     """
+    _check_integers(SimpleNamespace(**locals()), "n", "k", "delta_obj", "seed",
+                    "max_resamples")
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
     if delta_obj < 0:
@@ -292,7 +295,7 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
         # chain vectors, which span a t-invariant k-space as F is block
         # diagonal: that space is H's null space
         h = _deflate(t, factors).transform.take_rows(cols[: n - k])
-        code0 = LinearCode.from_pcm(h)
+        code0 = LinearCode(h)
         try:
             code1, t1, frozen = reduce_zero_columns(code0, t)
         except ReductionError:

@@ -207,7 +207,7 @@ def _cmd_simulate(args) -> int:
         else:
             return _fail("config needs either dir= or h=")
         t = None if t_path is None else _read_matrix(t_path)
-        code = LinearCode.from_pcm(h)
+        code = LinearCode(h)
         try:
             spec = DecoderSpec(kind=raw.get("decoder", ""),
                                **_sim_fields(raw, DecoderSpec))
@@ -266,7 +266,7 @@ def _cmd_verify(args) -> int:
         h = read_dense(d / "H.txt")
         h_alist = read_alist(d / "H.alist")
         square = [read_dense(d / name) for name in _SQUARE_FILES]
-        code = LinearCode.from_pcm(h)
+        code = LinearCode(h)
     except (OSError, ValueError, KeyError) as e:
         return _fail(str(e))
     for name, m in zip(_SQUARE_FILES, square):
@@ -311,7 +311,7 @@ def _cmd_dmin(args) -> int:
     if not kept.rows or kept.rows >= m.cols:
         return _fail("matrix does not define a code with 0 < k < n")
     try:
-        d = min_distance(LinearCode.from_pcm(kept))
+        d = min_distance(LinearCode(kept))
     except ValueError as e:
         return _fail(str(e))
     print(d)

@@ -1,8 +1,10 @@
 """Binary linear block codes: construction from a parity-check matrix,
 distance computation, dual-word search, and parity-check optimization.
 
-Codewords are column vectors x with H @ x = 0; the generator G holds a basis
-of that null space in its rows.
+A code is its parity-check matrix H: codewords are the column vectors x
+with H @ x = 0. The generator G holds the one basis of that null space
+whose rows lead with distinct free columns and are zero at the others, so
+every H of a code gives the same G.
 """
 
 from __future__ import annotations
@@ -29,34 +31,26 @@ class ReductionError(ValueError):
 
 
 class LinearCode:
-    """An (n, k) binary linear code held as a parity-check/generator pair.
-
-    Both matrices must have full row rank, so H has n - k rows and G has k.
+    """An (n, k) binary linear code given by its parity-check matrix H,
+    which must have full row rank. G is `null_space_basis(h)`, from the
+    same elimination that proves that rank, and depends on the code alone.
     """
 
-    def __init__(self, h: BitMatrix, g: BitMatrix):
-        if h.cols != g.cols:
-            raise ValueError("H and G widths disagree")
+    def __init__(self, h: BitMatrix):
+        if h.rows == 0 or h.cols == 0 or h.rows >= h.cols:
+            raise ValueError(f"parity-check matrix shape {h.shape} is not usable")
         self.h = h
-        self.g = g
+        self.g = null_space_basis(h)
         self.n = h.cols
-        self.k = g.rows
-        if rank(h) != h.rows:
+        self.k = self.g.rows
+        if h.rows + self.k != self.n:
             raise ValueError("parity-check matrix is rank deficient")
-        if rank(g) != g.rows:
-            raise ValueError("generator matrix is rank deficient")
-        if h.rows + g.rows != self.n:
-            raise ValueError("H and G dimensions do not add up to n")
-        if not (h @ g.transpose()).is_zero():
-            raise ValueError("G rows are not in the null space of H")
         self._cache: dict[str, np.ndarray | int] = {}
 
     @classmethod
     def from_pcm(cls, h: BitMatrix) -> "LinearCode":
-        """Build a code from a full-row-rank parity-check matrix."""
-        if h.rows == 0 or h.cols == 0 or h.rows >= h.cols:
-            raise ValueError(f"parity-check matrix shape {h.shape} is not usable")
-        return cls(h, null_space_basis(h))
+        """The same as `LinearCode(h)`."""
+        return cls(h)
 
     @property
     def rate(self) -> float:
@@ -80,12 +74,15 @@ class LinearCode:
         return self._cache["g"]
 
     def encode(self, message) -> np.ndarray:
-        """Map (..., k) message bits to the (..., n) uint8 codewords x G."""
-        bits = np.asarray(message, dtype=np.uint8)
+        """Map (..., k) message bits to the (..., n) uint8 codewords x G.
+        An entry other than 0 or 1 raises ValueError."""
+        bits = np.asarray(message)
         if bits.ndim == 0 or bits.shape[-1] != self.k:
             raise ValueError(f"message must have {self.k} bits")
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError("message must hold only 0 and 1 bits")
         # uint8 sums wrap modulo 256, an even number, so the parity holds
-        return ((bits & 1) @ self.g_numpy()) & 1
+        return (bits.astype(np.uint8) @ self.g_numpy()) & 1
 
     def codeword_table(self) -> np.ndarray:
         """All 2^k codewords as a (2^k, n) uint8 array; small k only."""
@@ -408,10 +405,10 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
         score = _four_cycles(packed[picks])
         if best is None or score < best:
             best, best_picks = score, picks
-    new_h = BitMatrix([words[i] for i in best_picks], c.n)
-    if rank(new_h.vstack(c.h)) != r:
+    new = LinearCode(BitMatrix([words[i] for i in best_picks], c.n))
+    if new.g != c.g:     # G is a function of the code alone
         raise AssertionError("optimized PCM changed the code")
-    return LinearCode.from_pcm(new_h)
+    return new
 
 
 def reduce_zero_columns(c: LinearCode, t: BitMatrix
@@ -439,7 +436,7 @@ def reduce_zero_columns(c: LinearCode, t: BitMatrix
     kept = h_cut.take_rows(list(independent_rows(h_cut)))
     if not kept.rows:
         raise ReductionError("reduction left a code without redundancy")
-    reduced = LinearCode.from_pcm(kept)
+    reduced = LinearCode(kept)
     if reduced.k != c.k:
         raise AssertionError("reduction changed the code dimension")
     return reduced, t_sub, frozen

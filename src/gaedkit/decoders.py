@@ -15,14 +15,15 @@ every path on every frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
 from .codes import DualWordPool, LinearCode, certified_ml, check_pool
-from .gf2 import BitMatrix, independent_rows, rank
+from .gf2 import (BitMatrix, _check_bools, _check_integers, independent_rows,
+                  rank)
 from .osd import osd_decode_batch
 
 
@@ -82,29 +83,6 @@ class PreprocessPlan:
             # temporaries made glibc trim and re-grow its heap, 1.5x slower
             del acc
         return out
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer. A float count would fail mid-sweep inside
-    numpy or `range`; a bool is an Integral, but True is no count."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _check_integers(obj, *names: str) -> None:
-    """Each named field must pass `_is_integer`."""
-    for name in names:
-        value = getattr(obj, name)
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_bools(obj, *names: str) -> None:
-    """Each named field must be a bool or a numpy bool; an integer would
-    index an array where a mask was meant, and a string is always true."""
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,10 +163,6 @@ class TannerGraph:
         for a in (check_vars, valid, var_slots):
             a.flags.writeable = False
         return cls(n, check_vars, valid, var_slots)
-
-    @property
-    def checks(self) -> int:
-        return self.check_vars.shape[0]
 
 
 def _live_cap(slots: int) -> int:

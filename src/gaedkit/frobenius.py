@@ -38,10 +38,6 @@ class FrobeniusForm:
     form: BitMatrix
     transform: BitMatrix
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(f.degree for f in self.blocks)
-
 
 def companion_matrix(f: Gf2Poly) -> BitMatrix:
     """Companion matrix of a nonzero polynomial.

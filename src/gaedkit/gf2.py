@@ -7,6 +7,7 @@ exact. Matrices are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
+from numbers import Integral
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,29 @@ def words_to_ints(words: np.ndarray) -> list[int]:
     """The int bitset of each row of a 2-D word array."""
     return [int.from_bytes(row.tobytes(), "little")
             for row in np.ascontiguousarray(words, dtype="<u8")]
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer. A float count would fail mid-sweep inside
+    numpy or `range`; a bool is an Integral, but True is no count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_integers(obj, *names: str) -> None:
+    """Each named field must pass `_is_integer`."""
+    for name in names:
+        value = getattr(obj, name)
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_bools(obj, *names: str) -> None:
+    """Each named field must be a bool or a numpy bool; an integer would
+    index an array where a mask was meant, and a string is always true."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 class BitMatrix:
@@ -312,29 +336,25 @@ def invert(m: BitMatrix) -> BitMatrix:
     return BitMatrix((span.reduce(1 << c)[1] for c in range(n)), n)
 
 
-def free_columns(m: BitMatrix) -> list[int]:
-    """Ascending columns that lead no vector of m's row space: the non-pivots."""
-    span = Reducer()
-    for row in m:
-        span.insert(row)
-    return [f for f in range(m.cols) if f not in span.pivots]
-
-
 def null_space_basis(m: BitMatrix) -> BitMatrix:
     """Basis of {x : m @ x = 0}, one vector per row of the result.
 
-    Vectors are emitted in ascending order of their free column, each with a
-    single 1 in that free position, so the result has full row rank. Free
-    column f is the combination of the pivot columns that its witness
-    names; the pivot columns are independent, so the witness is unique.
+    One descending pass over m's columns, column j tagged 1 << j: column f
+    is free when it lies in the span of the later columns, and its vector
+    is 1 << f plus the witness naming them. So each vector's lowest bit is
+    its free column, in ascending order, and no vector has a 1 in another's
+    free column: the null space has one such basis, whatever m's rows.
     """
-    free = free_columns(m)
     cols = list(m.transpose())
-    col_span = Reducer()
-    for p in set(range(m.cols)).difference(free):
-        col_span.insert(cols[p], 1 << p)
-    return BitMatrix(((1 << f) | col_span.reduce(cols[f])[1] for f in free),
-                     m.cols)
+    span = Reducer()
+    free = []
+    for j in reversed(range(m.cols)):
+        v, witness = span.reduce(cols[j])
+        if v:
+            span.insert(v, witness | 1 << j)
+        else:
+            free.append(witness | 1 << j)
+    return BitMatrix(reversed(free), m.cols)
 
 
 def solve_left(m: BitMatrix, y: int) -> int | None:

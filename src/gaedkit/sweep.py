@@ -30,9 +30,9 @@ import numpy as np
 from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import LinearCode, low_weight_dual_search
-from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _check_bools,
-                       _check_integers, _is_integer, bp_min_sum_batch,
+from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
                        power_ensemble, stack_redundant_pcm)
+from .gf2 import _check_bools, _check_integers, _is_integer
 from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"

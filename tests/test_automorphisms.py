@@ -14,7 +14,7 @@ from gaedkit.automorphisms import (Ccm, ConstructionError,
                                    random_z_block, sample_sparse_invertible,
                                    verify_automorphism)
 from gaedkit.codes import LinearCode
-from gaedkit.gf2 import BitMatrix, SingularMatrixError, invert, rank
+from gaedkit.gf2 import BitMatrix, Reducer, SingularMatrixError, invert, rank
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -142,6 +142,18 @@ def test_ccm_is_h_over_unit_rows_and_ends_in_g():
         assert list(ccm.basis_inv) == list(c.h) + [
             1 << f for f in range(n) if f not in lead]
         assert list(ccm.basis.transpose())[r:] == list(c.g)
+        assert ccm == free_columns_ccm(c)
+
+
+def free_columns_ccm(c):
+    """The former compute_ccm, kept as oracle: the unit rows of the free
+    columns of an echelon basis of H's rows, below H."""
+    span = Reducer()
+    for row in c.h:
+        span.insert(row)
+    free = [f for f in range(c.n) if f not in span.pivots]
+    basis_inv = BitMatrix(list(c.h) + [1 << f for f in free], c.n)
+    return Ccm(code=c, basis=invert(basis_inv), basis_inv=basis_inv)
 
 
 def test_ccm_rejects_bad_basis():

@@ -317,7 +317,7 @@ def test_tanner_graph_layout():
                              [1, 0, 0, 0, 0],
                              [0, 1, 0, 0, 1]])
     g = TannerGraph.from_pcm(h)
-    assert (g.n, g.checks, int(g.check_valid.sum())) == (5, 3, 6)
+    assert (g.n, g.check_vars.shape[0], int(g.check_valid.sum())) == (5, 3, 6)
     assert g.check_vars.tolist() == [[1, 3, 4], [0, 5, 5], [1, 4, 5]]
     assert g.check_valid.tolist() == [[True, True, True],
                                       [True, False, False],
@@ -916,14 +916,19 @@ def test_osd_matches_gauss_jordan_oracle():
                for n in rng.integers(4, 40, size=24)]
     for n, k in shapes:
         code = random_code(rng, n, n - k)
-        if rng.integers(0, 2):
-            # another basis of the same code: the reduced form must not care
-            code = LinearCode(code.h,
-                              BitMatrix.random_invertible(k, rng) @ code.g)
+        other = (BitMatrix.random_invertible(k, rng) @ code.g
+                 if rng.integers(0, 2) else None)
         awgn = awgn_llr_batch(np.zeros((6, n), dtype=np.uint8), 1.0, k / n, rng)
         # small integers: tied reliabilities and zero LLRs
         ties = rng.integers(-3, 4, size=(6, n)).astype(np.float64)
-        for row in np.concatenate((awgn, ties)):
+        frames = np.concatenate((awgn, ties))
+        if other is not None:
+            # another basis of the same code: the reduced form must not care
+            perm = np.argsort(-np.abs(frames), axis=1, kind="stable")
+            for got, want in zip(osd._osd_reduce(other.to_numpy(), perm),
+                                 osd._osd_reduce(code.g_numpy(), perm)):
+                assert np.array_equal(got, want), (n, k)
+        for row in frames:
             for order in range(4):
                 hard, corr = osd_decode_batch(code, row[None, :], order)
                 want_bits, want_corr = gauss_jordan_osd(code, row, order)
@@ -1235,7 +1240,27 @@ def test_osd_validation():
     g = code.g.to_numpy()
     g[1] = g[0]
     with pytest.raises(ValueError, match="rank deficient"):
-        osd_decode_batch(LinearCode(code.h, BitMatrix.from_numpy(g)), good, 1)
+        osd._osd_reduce(g, np.arange(7)[None, :])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: construct_code_with_automorphism(16.0, 8, 4, seed=1), "n"),
+    (lambda: construct_code_with_automorphism(16, "8", 4, seed=1), "k"),
+    (lambda: construct_code_with_automorphism(16, 8, True, seed=1),
+     "delta_obj"),
+    (lambda: construct_code_with_automorphism(16, 8, 4, seed=1.0), "seed"),
+    (lambda: construct_code_with_automorphism(16, 8, 4, seed=1,
+                                              max_resamples=2.5),
+     "max_resamples"),
+    (lambda: osd_decode_batch(LinearCode(HAMMING_74_H), np.ones((2, 7)),
+                              True), "order"),
+    (lambda: osd_decode_batch(LinearCode(HAMMING_74_H), np.ones((2, 7)),
+                              1.0), "order"),
+])
+def test_counts_must_be_integers(call, name):
+    # a float count would fail inside numpy or range, and True run as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
 
 
 def test_ml_decode_is_argmax_over_the_table():

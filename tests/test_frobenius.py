@@ -32,7 +32,7 @@ def check_form(t):
         parts = factor(f)
         assert len(parts) == 1          # every block is a prime power
     assert prod == char_poly(t)
-    assert sum(fb.block_sizes) == t.rows
+    assert sum(f.degree for f in fb.blocks) == t.rows
     assert fb.form == block_diagonal([companion_matrix(f) for f in fb.blocks])
     return fb
 
@@ -61,7 +61,7 @@ def test_cycle_splits_by_factorization():
     # 5-cycle: char poly x^5 + 1 = (x + 1)(x^4 + x^3 + x^2 + x + 1)
     perm = [[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)]
     fb = check_form(BitMatrix.from_rows(perm))
-    assert sorted(fb.block_sizes) == [1, 4]
+    assert sorted(f.degree for f in fb.blocks) == [1, 4]
     assert set(fb.blocks) == {Gf2Poly(0b11), Gf2Poly(0b11111)}
 
 
@@ -404,6 +404,5 @@ def dense_matrices(draw):
                    derogatory_matrices()))
 def test_invariant_factor_sizes_are_the_block_sizes(t):
     # construct_code_with_automorphism orders these sizes before deflating
-    sizes = tuple(p.degree * e for parts in invariant_factors(t)
-                  for p, e in parts)
-    assert sizes == frobenius_normal_form(t).block_sizes
+    sizes = [p.degree * e for parts in invariant_factors(t) for p, e in parts]
+    assert sizes == [f.degree for f in frobenius_normal_form(t).blocks]

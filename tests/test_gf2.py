@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gaedkit.frobenius import char_poly, companion_matrix
 from gaedkit.gf2 import (BitMatrix, SingularMatrixError, bits_to_words,
-                         block_diagonal, free_columns, independent_rows,
-                         ints_to_words, invert, null_space_basis, rank,
-                         solve_left, words_to_bits, words_to_ints, xor_rows)
+                         block_diagonal, independent_rows, ints_to_words,
+                         invert, null_space_basis, rank, solve_left,
+                         words_to_bits, words_to_ints, xor_rows)
 from gaedkit.gf2poly import ONE, X, Gf2Poly
 
 
@@ -658,7 +658,9 @@ def test_span_tracker_matches_oracles(m, data):
     assert rank(m) == oracle_rank(m)
     assert null_space_basis(m) == oracle_null_space_basis(m)
     pivots = oracle_echelon(list(m))[1]
-    assert free_columns(m) == [j for j in range(m.cols) if j not in pivots]
+    # each basis vector's lowest bit is a free column: a non-pivot
+    assert [v & -v for v in null_space_basis(m)] == [
+        1 << j for j in range(m.cols) if j not in pivots]
     assert list(independent_rows(m)) == inline_independent_rows(list(m))
     if m.rows == m.cols:
         try:
