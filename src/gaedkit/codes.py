@@ -171,6 +171,15 @@ def min_distance(c: LinearCode) -> int:
     return next(j for j in range(1, c.n + 1) if dist[j] > 0)
 
 
+def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """Each row's sum_j (1 - 2 hard_j) llrs_j: every decoder's score."""
+    # (1 - 2h) * x is exactly x or -x, so negating a copy in place is bit
+    # for bit the same sum without two (frames, n) float temporaries
+    signed = llrs.copy()
+    np.negative(signed, where=hard.astype(bool), out=signed)
+    return signed.sum(axis=-1)
+
+
 def certified_ml(llrs: np.ndarray, words: np.ndarray, d: int) -> np.ndarray:
     """Frames whose codeword in `words` is the unique maximum-likelihood
     decision for its row of the (frames, n) LLRs, by the sufficient test of

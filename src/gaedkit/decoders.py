@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
 from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
-from .codes import DualWordPool, LinearCode, certified_ml, check_pool
+from .codes import (DualWordPool, LinearCode, _correlation, certified_ml,
+                    check_pool)
 from .gf2 import (BitMatrix, _check_bools, _check_integers, independent_rows,
                   rank)
 from .osd import osd_decode_batch
@@ -107,20 +109,17 @@ class BpConfig:
         _check_bools(self, "early_stop")
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """One frame's hard decision and bookkeeping, as `osd_decode` returns it."""
+class DecodeOutcome(NamedTuple):
+    """Every decoder kind's result for a batch: (frames, n) uint8 hard bits
+    and, per frame, codeword validity (bool), BP iterations (int64), the
+    winning ensemble path (intp) and the float64 correlation with the
+    LLRs. Plain BP decodes on path 0; OSD finds codewords in 0 iterations."""
 
     hard_bits: np.ndarray
-    is_codeword: bool
-    iterations_used: int
-    path_index: int
-    correlation: float
-
-    def __post_init__(self) -> None:
-        bits = np.ascontiguousarray(self.hard_bits, dtype=np.uint8)
-        bits.flags.writeable = False
-        object.__setattr__(self, "hard_bits", bits)
+    is_codeword: np.ndarray
+    iterations_used: np.ndarray
+    path_index: np.ndarray
+    correlation: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,12 +273,12 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     return out_hard, out_valid, out_iters
 
 
-def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
-    # (1 - 2h) * x is exactly x or -x, so negating a copy in place is bit
-    # for bit the same sum without two (frames, n) float temporaries
-    signed = llrs.copy()
-    np.negative(signed, where=hard.astype(bool), out=signed)
-    return signed.sum(axis=-1)
+def _bp_record(graph: TannerGraph, llrs, cfg: BpConfig) -> DecodeOutcome:
+    """`bp_min_sum_batch` as a `DecodeOutcome`: every frame on path 0."""
+    llrs = check_llr_batch(llrs, graph.n)
+    hard, valid, iters = bp_min_sum_batch(graph, llrs, cfg)
+    path = np.zeros(len(llrs), dtype=np.intp)
+    return DecodeOutcome(hard, valid, iters, path, _correlation(hard, llrs))
 
 
 class GaedEnsemble:
@@ -316,10 +315,9 @@ class GaedEnsemble:
         self.d = code.distance_bound()
 
     def _decode_path(self, p: int, llrs: np.ndarray, cfg: BpConfig
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-        """Path p on checked LLRs: (hard_bits, is_codeword, iterations,
-        corr) of the candidate mapped back to the code's coordinates."""
+                     ) -> DecodeOutcome:
+        """Path p on checked LLRs: the record of its candidates, mapped
+        back to the code's coordinates."""
         # every path matrix is an automorphism (checked in __init__), so
         # the mapped word is a codeword exactly when BP's word is
         hard, valid, iters = bp_min_sum_batch(
@@ -328,26 +326,27 @@ class GaedEnsemble:
         # its threads can cost more than the whole map.
         hard = np.bitwise_xor.reduce(
             np.pad(hard, ((0, 0), (0, 1)))[:, self.inv_vars[p]], axis=2)
-        return hard, valid, iters, _correlation(hard, llrs)
+        return DecodeOutcome(hard, valid, iters,
+                             np.full(len(llrs), p, dtype=np.intp),
+                             _correlation(hard, llrs))
 
-    def decode_batch(self, llrs: np.ndarray, cfg: BpConfig
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-        """Returns (hard_bits, is_codeword, iterations, path_index, corr)."""
+    def decode_batch(self, llrs: np.ndarray, cfg: BpConfig) -> DecodeOutcome:
+        """Each frame's winning candidate, with the path that found it."""
         llrs = check_llr_batch(llrs, self.code.n)
-        hard, valid, iters, corr = self._decode_path(0, llrs, cfg)
-        path = np.zeros(llrs.shape[0], dtype=np.intp)
-        rest = np.flatnonzero(~(valid & certified_ml(llrs, hard, self.d)))
+        out = self._decode_path(0, llrs, cfg)
+        rest = np.flatnonzero(
+            ~(out.is_codeword & certified_ml(llrs, out.hard_bits, self.d)))
         sub = llrs[rest]
         for p in range(1, len(self.plans)):
-            h, v, i, c = self._decode_path(p, sub, cfg)
+            cand = self._decode_path(p, sub, cfg)
             # a valid candidate beats an invalid one, then the higher
             # correlation wins; ties keep the lower path
-            win = (v > valid[rest]) | ((v == valid[rest]) & (c > corr[rest]))
-            f = rest[win]
-            hard[f], valid[f], iters[f], path[f], corr[f] = \
-                h[win], v[win], i[win], p, c[win]
-        return hard, valid, iters, path, corr
+            valid, corr = out.is_codeword[rest], out.correlation[rest]
+            win = (cand.is_codeword > valid) | (
+                (cand.is_codeword == valid) & (cand.correlation > corr))
+            for field, new in zip(out, cand):
+                field[rest[win]] = new[win]
+        return out
 
 
 def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)
@@ -386,14 +385,19 @@ def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
     return stacked
 
 
-def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
-    """Ordered-statistics decoding of one frame: the one-row call of
-    `osd_decode_batch`, with its checks, its tie rule and its result.
+def _osd_record(code: LinearCode, llrs, order: int) -> DecodeOutcome:
+    """`osd_decode_batch` as a `DecodeOutcome`: codewords, path 0, no BP."""
+    hard, corr = osd_decode_batch(code, llrs, order)
+    zero = np.zeros(len(corr), dtype=np.int64)
+    return DecodeOutcome(hard, zero == 0, zero, zero.astype(np.intp), corr)
 
-    Only the benchmark's OSD check and its tracer still call it; decode
-    batches with `osd_decode_batch`."""
-    hard, corr = osd_decode_batch(code, llrs.values[None, :], order)
-    return DecodeOutcome(hard[0], True, 0, 0, float(corr[0]))
+
+def osd_decode(code: LinearCode, llrs: LlrVector, order: int) -> DecodeOutcome:
+    """Ordered-statistics decoding of one frame: its row of the record of
+    `osd_decode_batch`, so `hard_bits` has shape (n,). Only the benchmark's
+    OSD check and its tracer still call it; decode batches instead."""
+    record = _osd_record(code, llrs.values[None, :], order)
+    return DecodeOutcome._make(field[0] for field in record)
 
 
 def ml_decode_batch(code: LinearCode, llrs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import check_llr_batch
-from .codes import LinearCode, certified_ml
+from .codes import LinearCode, _correlation, certified_ml
 from .gf2 import _check_integers, bits_to_words, words_to_bits
 
 
@@ -138,7 +138,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     best = np.bitwise_xor.reduce(
         np.where(hard_info[:, :, None], rows, np.uint64(0)), axis=1)
     bits = words_to_bits(best, n)
-    best_corr = ((1.0 - 2.0 * bits) * w).sum(axis=1)
+    best_corr = _correlation(bits, w)
     groups = _flip_patterns(code.k, order)
     if groups:
         rest = np.flatnonzero(~certified_ml(w, bits, code.distance_bound()))

@@ -30,10 +30,9 @@ import numpy as np
 from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import LinearCode, low_weight_dual_search
-from .decoders import (BpConfig, GaedEnsemble, TannerGraph, bp_min_sum_batch,
-                       power_ensemble, stack_redundant_pcm)
+from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _bp_record,
+                       _osd_record, power_ensemble, stack_redundant_pcm)
 from .gf2 import _check_bools, _check_integers, _is_integer
-from .osd import osd_decode_batch
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
 
@@ -83,6 +82,10 @@ class DecoderSpec:
             raise ValueError("ell must be at least 1")
         if self.osd_order < 0:
             raise ValueError("osd_order must be non-negative")
+        # ebn0_db's rule; a tuple, so that the spec hashes
+        if isinstance(self.powers, str) or not np.iterable(self.powers):
+            raise ValueError(f"powers must be a sequence, got {self.powers!r}")
+        object.__setattr__(self, "powers", tuple(self.powers))
         if not self.powers:
             raise ValueError("powers must be non-empty")
         if not all(map(_is_integer, self.powers)):
@@ -150,8 +153,8 @@ class _Runtime:
     """A sweep's decoder, built once; calling it on a task decodes a group
     of chunks.
 
-    `decode(llrs)` is a picklable batch decoder whose first output is the
-    (frames, n) hard decisions, so workers need nothing rebuilt.
+    `decode(llrs)` is a picklable batch decoder that returns a
+    `DecodeOutcome` for every kind, so workers need nothing rebuilt.
     """
 
     def __init__(self, code: LinearCode, spec: DecoderSpec,
@@ -174,15 +177,14 @@ class _Runtime:
             # code carries it, so no worker enumerates the code again
             if spec.osd_order:
                 code.distance_bound()
-            self.decode = partial(osd_decode_batch, code, order=spec.osd_order)
+            self.decode = partial(_osd_record, code, order=spec.osd_order)
         else:
             if spec.kind == "rr":
                 pool = low_weight_dual_search(
                     code, target_count=spec.ell * (code.n - code.k) + 32,
                     seed=_POOL_SEED)
                 h = stack_redundant_pcm(code, pool, spec.ell)
-            self.decode = partial(bp_min_sum_batch, TannerGraph.from_pcm(h),
-                                  cfg=cfg)
+            self.decode = partial(_bp_record, TannerGraph.from_pcm(h), cfg=cfg)
         # frames per draw and per decode slice
         self.batch_frames = max(
             32, _DECODE_CELL_BUDGET // max(1, h.rows * code.n))
@@ -191,7 +193,7 @@ class _Runtime:
         """Decode one group of chunks: (frames, frame_errors, bit_errors)."""
         frame_errors = bit_errors = 0
         for sent, llrs in self._slices(task):
-            diff = self.decode(llrs)[0] != sent
+            diff = self.decode(llrs).hard_bits != sent
             frame_errors += int(diff.any(axis=1).sum())
             bit_errors += int(diff.sum())
         return sum(frames for _, frames in task[-1]), frame_errors, bit_errors

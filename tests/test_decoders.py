@@ -431,9 +431,12 @@ def test_bp_input_validation():
 
 
 def test_decode_outcome_is_frozen():
-    out = DecodeOutcome(np.array([1, 0, 1]), True, 3, 0, 1.5)
-    assert out.hard_bits.dtype == np.uint8
-    assert not out.hard_bits.flags.writeable
+    # a named tuple over a batch: its fields cannot be reassigned
+    out = DecodeOutcome(np.array([[1, 0, 1]], dtype=np.uint8),
+                        np.array([True]), np.array([3]), np.array([0]),
+                        np.array([1.5]))
+    assert out._fields == ("hard_bits", "is_codeword", "iterations_used",
+                           "path_index", "correlation")
     with pytest.raises(AttributeError):
         out.is_codeword = False
 
@@ -700,7 +703,7 @@ def test_certified_words_are_the_unique_ml_codewords():
     signs = 1.0 - 2.0 * res.code.codeword_table()
     llrs = random_codeword_llrs(res.code, 4096, 2.0, 9)
     for batch in (llrs, np.round(llrs)):
-        hard, valid, _, _ = ens._decode_path(0, batch, BpConfig(iterations=5))
+        hard, valid, *_ = ens._decode_path(0, batch, BpConfig(iterations=5))
         cert = valid & certified_ml(batch, hard, ens.d)
         assert 0 < cert.sum() < len(batch)
         corr = np.sort(batch[cert] @ signs.T, axis=1)
@@ -725,7 +728,7 @@ def test_later_paths_decode_only_uncertified_frames(monkeypatch):
     ens.decode_batch((1.0 - 2.0 * sent) * 4.0, cfg)
     assert [len(x) for x in seen] == [256, 0, 0]
     llrs = random_codeword_llrs(res.code, 2048, 3.0, 12)
-    hard, valid, _, _ = ens._decode_path(0, llrs, cfg)
+    hard, valid, *_ = ens._decode_path(0, llrs, cfg)
     cert = certified_ml(llrs, hard, ens.d)
     # a word that is not a codeword is never certified: here some pass
     # the test and must still go to the later paths
@@ -839,6 +842,25 @@ def test_osd_outputs_codewords_and_improves_with_order():
         if prev is not None:
             assert np.all(corrs >= prev - 1e-12)
         prev = corrs
+
+
+def test_correlation_is_the_signed_float_sum():
+    """`codes._correlation`, the score of GAED, OSD and BP records, is bit
+    for bit the float sum of (1 - 2h) * x over C-ordered rows, signed zeros
+    included, whatever the layout of its inputs (the inverse map's words
+    are not C-ordered)."""
+    rng = np.random.default_rng(5)
+    for shape in ((0, 7), (1, 7), (9, 70), (300, 33)):
+        llrs = rng.normal(size=shape) * 3.0
+        llrs[rng.random(shape) < 0.1] = 0.0
+        llrs[rng.random(shape) < 0.1] = -0.0
+        hard = (rng.random(shape) < 0.3).astype(np.uint8)
+        want = ((1.0 - 2.0 * hard) * llrs).sum(axis=1).view(np.uint64)
+        for h in (hard, np.asfortranarray(hard), hard.T.copy().T):
+            for x in (llrs, np.asfortranarray(llrs)):
+                got = codes._correlation(h, x)
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), want)
 
 
 def test_osd_full_order_matches_ml_correlation():

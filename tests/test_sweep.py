@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from gaedkit.automorphisms import construct_code_with_automorphism
-from gaedkit.codes import LinearCode
+from gaedkit.channel import awgn_llr_batch
+from gaedkit.codes import LinearCode, _correlation
+from gaedkit.decoders import (BpConfig, DecodeOutcome, GaedEnsemble,
+                              TannerGraph, bp_min_sum_batch, power_ensemble)
 from gaedkit.gf2 import BitMatrix
+from gaedkit.osd import osd_decode_batch
 from gaedkit import codes, sweep
 from gaedkit.sweep import (_CHUNKS_PER_ROUND, CSV_HEADER, DecoderSpec,
                            FerRecord, SweepConfig, _Runtime, format_records,
@@ -82,6 +86,16 @@ def test_decoder_spec_validation():
         with pytest.raises(ValueError, match="early_stop must be a bool"):
             DecoderSpec("bp", early_stop=bad)
     assert DecoderSpec("bp", early_stop=np.True_).early_stop
+    # powers follow ebn0_db's rule: a sequence, kept as a tuple so that the
+    # frozen spec hashes
+    for bad in (5, np.int64(5), "01", None):
+        with pytest.raises(ValueError, match="powers must be a sequence"):
+            DecoderSpec("gaed", powers=bad)
+    for good in ([0, 1, -1], np.array([0, 1, -1]), iter((0, 1, -1))):
+        spec = DecoderSpec("gaed", powers=good)
+        assert isinstance(spec.powers, tuple) and spec.powers == (0, 1, -1)
+        assert spec == DecoderSpec("gaed")
+        assert hash(spec) == hash(DecoderSpec("gaed"))
 
 
 def test_sweep_config_validation():
@@ -180,6 +194,52 @@ def test_sweep_worker_count_does_not_change_counts(kind, random_codewords):
     restored = pickle.loads(pickle.dumps(runtime))
     task = (9, random_codewords, 0, 2.0, [(0, 300)])
     assert runtime(task) == restored(task)
+
+
+def assert_same_record(got, want):
+    assert isinstance(got, DecodeOutcome)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", ["bp", "gaed", "rr", "osd"])
+def test_every_kind_decodes_to_one_record(kind):
+    res = construct_code_with_automorphism(16, 8, 4, seed=0)
+    code = res.code
+    spec = DecoderSpec(kind, iterations=5, ell=2, osd_order=2)
+    runtime = _Runtime(code, spec, res.aut)
+    llrs = awgn_llr_batch(np.zeros((300, code.n), dtype=np.uint8), 1.5,
+                          code.rate, np.random.default_rng(31))
+    out = runtime.decode(llrs)
+    assert isinstance(out, DecodeOutcome)
+    assert [f.dtype for f in out] == [np.uint8, bool, np.int64, np.intp,
+                                      np.float64]
+    assert [f.shape for f in out] == [(300, code.n)] + [(300,)] * 4
+    cfg = BpConfig(iterations=5)
+    path0 = np.zeros(300, dtype=np.intp)
+    if kind == "gaed":
+        ens = GaedEnsemble(code, power_ensemble(res.aut, spec.powers))
+        assert_same_record(out, ens.decode_batch(llrs, cfg))
+        assert (out.path_index != 0).any()
+    elif kind == "osd":
+        hard, corr = osd_decode_batch(code, llrs, 2)
+        assert not ((code.h_numpy() @ out.hard_bits.T) % 2).any()
+        assert np.array_equal(out.hard_bits, hard)
+        assert np.array_equal(out.correlation, corr)
+        assert out.is_codeword.all() and not out.iterations_used.any()
+        assert np.array_equal(out.path_index, path0)
+    else:
+        graph = TannerGraph.from_pcm(code.h)
+        if kind == "rr":
+            # the redundant PCM comes from the runtime's own dual-word pool
+            graph = runtime.decode.args[0]
+            assert graph.check_vars.shape[0] == 2 * (code.n - code.k)
+        hard, valid, iters = bp_min_sum_batch(graph, llrs, cfg)
+        assert_same_record(out, (hard, valid, iters, path0,
+                                 _correlation(hard, llrs)))
+        assert not valid.all()
+    restored = pickle.loads(pickle.dumps(runtime))
+    assert_same_record(restored.decode(llrs), out)
 
 
 def test_osd_workers_never_enumerate_the_code(monkeypatch):
