@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from types import SimpleNamespace
 
 import numpy as np
 
 from .codes import (DualWordPool, LinearCode, ReductionError,
                     low_weight_dual_search, optimize_pcm, reduce_zero_columns)
 from .frobenius import _deflate, invariant_factors
-from .gf2 import (BitMatrix, SingularMatrixError, _check_integers, invert,
+from .gf2 import (BitMatrix, SingularMatrixError, _check_count, invert,
                   rank)
 
 
@@ -70,7 +69,8 @@ class GeneralizedAutomorphism:
 def verify_automorphism(c: LinearCode, t: BitMatrix) -> bool:
     """True iff t is invertible and maps every codeword of c to a codeword."""
     if t.shape != (c.n, c.n):
-        raise ValueError("matrix shape does not match the code length")
+        raise ValueError(f"matrix shape {t.shape} does not match the code "
+                         f"length: size {c.n} x {c.n} needed")
     if rank(t) != c.n:
         return False
     return (c.h @ t @ c.g.transpose()).is_zero()
@@ -80,9 +80,10 @@ def verify_automorphism(c: LinearCode, t: BitMatrix) -> bool:
 class Ccm:
     """Basis change A with H @ A = [I | 0] for a given code.
 
-    The first n-k rows of A's inverse reproduce H exactly, so A
-    simultaneously normalizes the parity-check matrix and exposes the
-    conjugate block structure of the code's automorphisms.
+    The first n-k rows of A's inverse reproduce H exactly, since the two
+    checked identities give H = [I | 0] @ A^-1. So A simultaneously
+    normalizes the parity-check matrix and exposes the conjugate block
+    structure of the code's automorphisms.
     """
 
     code: LinearCode
@@ -98,8 +99,6 @@ class Ccm:
         normal = self.code.h @ self.basis
         if list(normal) != [1 << i for i in range(r)]:
             raise ValueError("basis does not normalize H to [I | 0]")
-        if list(self.basis_inv)[:r] != list(self.code.h):
-            raise ValueError("inverse basis does not start with H")
 
 
 def compute_ccm(c: LinearCode) -> Ccm:
@@ -121,7 +120,8 @@ def membership_in_z(ccm: Ccm, t: BitMatrix) -> bool:
     """
     n, r = ccm.code.n, ccm.code.n - ccm.code.k
     if t.shape != (n, n):
-        raise ValueError("matrix shape does not match the code length")
+        raise ValueError(f"matrix shape {t.shape} does not match the code "
+                         f"length: size {n} x {n} needed")
     if rank(t) != n:
         raise SingularMatrixError("membership test requires an invertible matrix")
     conj = ccm.basis_inv @ t @ ccm.basis
@@ -204,6 +204,8 @@ def sample_sparse_invertible(n: int, omega_obj: int,
     Starts from a random permutation matrix (weight n) and adds the excess
     as distinct off-permutation ones, rejecting singular draws.
     """
+    _check_count("n", n, 0)
+    _check_count("omega_obj", omega_obj)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     if omega_obj < n or omega_obj > n * n:
@@ -266,16 +268,13 @@ def construct_code_with_automorphism(n: int, k: int, delta_obj: int, seed: int,
     PCM. Block orderings that do not exist and reductions that break
     invertibility are counted and resampled, up to max_resamples.
     """
-    _check_integers(SimpleNamespace(**locals()), "n", "k", "delta_obj", "seed",
-                    "max_resamples")
+    _check_count("n", n)
+    _check_count("k", k)
+    _check_count("delta_obj", delta_obj, 0)
+    _check_count("seed", seed, 0)
+    _check_count("max_resamples", max_resamples, 1)
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
-    if delta_obj < 0:
-        raise ValueError("delta_obj must be non-negative")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if max_resamples < 1:
-        raise ValueError(f"max_resamples must be at least 1, got {max_resamples}")
     ordering_failures = 0
     reduction_failures = 0
     for attempt in range(1, max_resamples + 1):

@@ -15,9 +15,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2 import (BitMatrix, Reducer, independent_rows, ints_to_words,
-                  null_space_basis, rank, words_to_bits, words_to_ints,
-                  xor_rows)
+from .gf2 import (BitMatrix, Reducer, _check_count, independent_rows,
+                  ints_to_words, null_space_basis, rank, words_to_bits,
+                  words_to_ints, xor_rows)
 
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
@@ -268,8 +268,8 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
     instead; its pool holds fewer than target_count words when the
     iteration budget ends first.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be positive")
+    _check_count("target_count", target_count, 1)
+    _check_count("seed", seed, 0)
     r = c.n - c.k
     hrows = [c.h.row_bits(i) for i in range(r)]
     if r <= _MAX_DUAL:
@@ -373,6 +373,7 @@ def optimize_pcm(c: LinearCode, pool: DualWordPool,
     whole pool in that order. Each trial's four-cycles are counted on its
     packed rows. The returned code has the identical null space.
     """
+    _check_count("seed", seed, 0)
     r = c.n - c.k
     check_pool(c, pool)
     words = pool.words

@@ -24,8 +24,8 @@ from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
 from .codes import (DualWordPool, LinearCode, _correlation, certified_ml,
                     check_pool)
-from .gf2 import (BitMatrix, _check_bools, _check_integers, independent_rows,
-                  rank)
+from .gf2 import (BitMatrix, _as_tuple, _check_bools, _check_count,
+                  _is_integer, independent_rows, rank)
 from .osd import osd_decode_batch
 
 
@@ -96,9 +96,7 @@ class BpConfig:
     early_stop: bool = True
 
     def __post_init__(self) -> None:
-        _check_integers(self, "iterations")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        _check_count("iterations", self.iterations, 1)
         # a string or None would fail the comparison with a bare TypeError,
         # and True would pass it as 1.0
         norm = self.normalization
@@ -127,16 +125,14 @@ class TannerGraph:
     """Edge lists of a parity-check matrix, in the layout the kernel reads.
 
     Row c of `check_vars` holds check c's variables in ascending column
-    order, padded to the largest row degree with the phantom variable n;
-    `check_valid` marks the real entries. Row v of `var_slots` holds
-    variable v's edges as flat indices into the (checks, width) slot grid,
-    in ascending check order, padded with `checks * width`, one past the
-    grid.
+    order, padded to the largest row degree with the phantom variable n.
+    Row v of `var_slots` holds variable v's edges as flat indices into the
+    (checks, width) slot grid, in ascending check order, padded with
+    `checks * width`, one past the grid.
     """
 
     n: int
     check_vars: np.ndarray
-    check_valid: np.ndarray
     var_slots: np.ndarray
 
     @classmethod
@@ -159,9 +155,9 @@ class TannerGraph:
                             dtype=np.intp)
         var_slots[np.arange(var_slots.shape[1]) < col_deg[:, None]] = \
             np.flatnonzero(valid)[by_var]
-        for a in (check_vars, valid, var_slots):
+        for a in (check_vars, var_slots):
             a.flags.writeable = False
-        return cls(n, check_vars, valid, var_slots)
+        return cls(n, check_vars, var_slots)
 
 
 def _live_cap(slots: int) -> int:
@@ -302,8 +298,7 @@ class GaedEnsemble:
         if not auts:
             raise ValueError("ensemble needs at least one path")
         for a in auts:
-            if a.n != code.n:
-                raise ValueError("automorphism size does not match the code")
+            # verify_automorphism raises on a matrix of the wrong size
             if not verify_automorphism(code, a.matrix):
                 raise ValueError("matrix is not an automorphism of the code")
         self.code = code
@@ -349,11 +344,19 @@ class GaedEnsemble:
         return out
 
 
+def _check_powers(powers) -> tuple:
+    """powers as a tuple of integers, or ValueError naming `powers`."""
+    powers = _as_tuple("powers", powers)
+    if not all(map(_is_integer, powers)):
+        raise ValueError(f"powers must be integers, got {powers!r}")
+    return powers
+
+
 def power_ensemble(aut: GeneralizedAutomorphism, powers=(0, 1, -1)
                    ) -> list[GeneralizedAutomorphism]:
     """Ensemble members t^alpha for the given exponents, in order."""
     return [GeneralizedAutomorphism(aut.power(a), aut.power(-a))
-            for a in powers]
+            for a in _check_powers(powers)]
 
 
 def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
@@ -364,8 +367,7 @@ def stack_redundant_pcm(code: LinearCode, pool: DualWordPool,
     the remaining slots take the lightest unused pool words; the result is
     sorted by (weight, value).
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    _check_count("ell", ell, 1)
     check_pool(code, pool)
     need = ell * (code.n - code.k)
     words = pool.words

@@ -57,12 +57,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _check_integers(obj, *names: str) -> None:
-    """Each named field must pass `_is_integer`."""
-    for name in names:
-        value = getattr(obj, name)
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_count(name: str, value, low: int | None = None) -> None:
+    """The one count rule: value must pass `_is_integer` and, when low is
+    given, be at least low. Each error names the argument and its value."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _as_tuple(name: str, value) -> tuple:
+    """value as a tuple. A string iterates as characters and a bare number
+    not at all, so both are refused by name."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def _check_bools(obj, *names: str) -> None:

@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import check_llr_batch
 from .codes import LinearCode, _correlation, certified_ml
-from .gf2 import _check_integers, bits_to_words, words_to_bits
+from .gf2 import _check_count, bits_to_words, words_to_bits
 
 
 @lru_cache(maxsize=32)
@@ -125,9 +124,7 @@ def osd_decode_batch(code: LinearCode, llrs: np.ndarray, order: int
     skipped. Work runs in blocks of at most `_OSD_CELL_BUDGET` candidate
     bits, which bounds memory for any k and order.
     """
-    _check_integers(SimpleNamespace(order=order), "order")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_count("order", order, 0)
     llrs = check_llr_batch(llrs, code.n)
     frames, n = llrs.shape
     perm = np.argsort(-np.abs(llrs), axis=1, kind="stable")

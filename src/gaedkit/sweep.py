@@ -31,8 +31,9 @@ from .automorphisms import GeneralizedAutomorphism
 from .channel import awgn_llr_batch
 from .codes import LinearCode, low_weight_dual_search
 from .decoders import (BpConfig, GaedEnsemble, TannerGraph, _bp_record,
-                       _osd_record, power_ensemble, stack_redundant_pcm)
-from .gf2 import _check_bools, _check_integers, _is_integer
+                       _check_powers, _osd_record, power_ensemble,
+                       stack_redundant_pcm)
+from .gf2 import _as_tuple, _check_bools, _check_count
 
 CSV_HEADER = "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
 
@@ -77,19 +78,12 @@ class DecoderSpec:
                              f"be one of {', '.join(_KINDS)}")
         # BpConfig owns the rule for the BP settings
         BpConfig(self.iterations, self.normalization, self.early_stop)
-        _check_integers(self, "ell", "osd_order")
-        if self.ell < 1:
-            raise ValueError("ell must be at least 1")
-        if self.osd_order < 0:
-            raise ValueError("osd_order must be non-negative")
-        # ebn0_db's rule; a tuple, so that the spec hashes
-        if isinstance(self.powers, str) or not np.iterable(self.powers):
-            raise ValueError(f"powers must be a sequence, got {self.powers!r}")
-        object.__setattr__(self, "powers", tuple(self.powers))
+        _check_count("ell", self.ell, 1)
+        _check_count("osd_order", self.osd_order, 0)
+        # power_ensemble's rule; a tuple, so that the spec hashes
+        object.__setattr__(self, "powers", _check_powers(self.powers))
         if not self.powers:
             raise ValueError("powers must be non-empty")
-        if not all(map(_is_integer, self.powers)):
-            raise ValueError(f"powers must be integers, got {self.powers!r}")
         # a repeated path ties the first on every frame and loses the tie
         if len(set(self.powers)) < len(self.powers):
             raise ValueError(f"powers must be distinct, got {self.powers!r}")
@@ -111,28 +105,18 @@ class SweepConfig:
     random_codewords: bool = False
 
     def __post_init__(self) -> None:
-        # a string iterates as characters and a bare number not at all
-        if isinstance(self.ebn0_db, str) or not np.iterable(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be a sequence of Eb/N0 points, "
-                             f"got {self.ebn0_db!r}")
-        pts = tuple(float(x) for x in self.ebn0_db)
+        pts = tuple(float(x) for x in _as_tuple("ebn0_db", self.ebn0_db))
         if not pts:
             raise ValueError("need at least one Eb/N0 point")
         if not all(isfinite(x) for x in pts):
             raise ValueError("Eb/N0 points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("Eb/N0 points must be strictly increasing")
-        _check_integers(self, "min_frame_errors", "max_frames", "seed",
-                        "workers")
+        _check_count("min_frame_errors", self.min_frame_errors, 1)
+        _check_count("max_frames", self.max_frames, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("workers", self.workers, 1)
         _check_bools(self, "random_codewords")
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be at least 1")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         object.__setattr__(self, "ebn0_db", pts)
 
 

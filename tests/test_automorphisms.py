@@ -70,6 +70,9 @@ def test_verify_matches_membership_random():
             assert membership_in_z(ccm, t) == verify_automorphism(c, t)
     with pytest.raises(ValueError, match="shape"):
         verify_automorphism(random_code(rng, 5, 2), BitMatrix.identity(4))
+    with pytest.raises(ValueError, match="shape"):
+        membership_in_z(compute_ccm(random_code(rng, 5, 2)),
+                        BitMatrix.identity(4))
 
 
 def test_verify_matches_membership_exhaustive():
@@ -164,6 +167,10 @@ def test_ccm_rejects_bad_basis():
     good = compute_ccm(c)
     with pytest.raises(ValueError, match="not the inverse"):
         Ccm(code=c, basis=good.basis, basis_inv=eye)
+    for basis, basis_inv in ((BitMatrix.identity(6), eye),
+                             (eye, BitMatrix.identity(8))):
+        with pytest.raises(ValueError, match="basis must be n x n"):
+            Ccm(code=c, basis=basis, basis_inv=basis_inv)
 
 
 def test_conjugated_block_group_members_preserve_the_code():

@@ -238,6 +238,13 @@ def test_dmin_errors(tmp_path, capsys):
     write_dense(BitMatrix.identity(3), full)
     assert main(["dmin", str(full)]) == 2
     capsys.readouterr()
+    # k = n - k = 30: past both enumeration limits
+    rng = np.random.default_rng(5)
+    big = BitMatrix([1 << i | int(rng.integers(1 << 30)) << 30
+                     for i in range(30)], 60)
+    write_dense(big, tmp_path / "big.txt")
+    assert main(["dmin", str(tmp_path / "big.txt")]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -303,6 +310,18 @@ def test_simulate_bp_to_stdout(tmp_path, capsys):
     assert lines[0] == "ebno_db,frames,frame_errors,bit_errors,fer,ci95,elapsed_s"
     assert len(lines) == 3
     assert lines[1].startswith("2,") and lines[2].startswith("4,")
+    # the same H read from a code directory without T.txt: bp needs no T
+    (tmp_path / "no_t").mkdir()
+    write_dense(HAMMING_74_H, tmp_path / "no_t" / "H.txt")
+    write_sim_config(cfgf, [
+        "dir = no_t", "decoder = bp", "iterations = 5",
+        "ebn0_db = 2.0,4.0", "min_frame_errors = 20", "max_frames = 2048",
+        "seed = 5",
+    ])
+    assert main(["simulate", str(cfgf)]) == 0
+    from_dir = capsys.readouterr().out.strip().splitlines()
+    assert [ln.rsplit(",", 1)[0] for ln in from_dir] == \
+        [ln.rsplit(",", 1)[0] for ln in lines]
 
 
 def test_simulate_writes_file_and_is_count_deterministic(tmp_path, capsys):
@@ -449,6 +468,9 @@ def test_simulate_rejects_t_of_the_wrong_size(tmp_path, capsys, no_frames,
 
 def test_simulate_config_validation(tmp_path, capsys, no_frames):
     write_dense(HAMMING_74_H, tmp_path / "H.txt")
+    # a code directory without T.txt: bp runs, gaed has no automorphism
+    (tmp_path / "no_t").mkdir()
+    write_dense(HAMMING_74_H, tmp_path / "no_t" / "H.txt")
     cases = [
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "wat = 7"],
          "unknown config keys"),
@@ -457,6 +479,10 @@ def test_simulate_config_validation(tmp_path, capsys, no_frames):
         (["h = H.txt", "decoder = bp"], "needs ebn0_db"),
         (["h = H.txt", "decoder = gaed", "ebn0_db = 1.0"],
          "need an automorphism"),
+        (["dir = no_t", "decoder = gaed", "ebn0_db = 1.0"],
+         "need an automorphism"),
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "workers = 0"],
+         "workers must be at least 1, got 0"),
         (["dir = c16", "h = nonexistent.txt", "t = missing.txt",
           "decoder = bp", "ebn0_db = 1.0"], "dir= excludes h= and t="),
         (["dir = c16", "t = missing.txt", "decoder = bp", "ebn0_db = 1.0"],

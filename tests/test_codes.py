@@ -96,6 +96,9 @@ def test_codeword_table():
     # closure under addition
     rows = list(words)
     assert all((a ^ b) in words for a in rows[:6] for b in rows[:6])
+    # 2^23 rows would take 200 MB: refused by k
+    with pytest.raises(ValueError, match="k <= 22"):
+        LinearCode(BitMatrix.from_rows([[1] * 24])).codeword_table()
 
 
 def test_weight_distribution_hamming():

@@ -13,7 +13,8 @@ from mpmath import mp
 
 from gaedkit import codes, decoders, osd
 from gaedkit.automorphisms import (GeneralizedAutomorphism,
-                                   construct_code_with_automorphism)
+                                   construct_code_with_automorphism,
+                                   sample_sparse_invertible)
 from gaedkit.channel import (LLR_CLAMP, LlrVector, awgn_llr_batch,
                              check_llr_batch)
 from gaedkit.codes import DualWordPool, LinearCode, certified_ml
@@ -317,11 +318,13 @@ def test_tanner_graph_layout():
                              [1, 0, 0, 0, 0],
                              [0, 1, 0, 0, 1]])
     g = TannerGraph.from_pcm(h)
-    assert (g.n, g.check_vars.shape[0], int(g.check_valid.sum())) == (5, 3, 6)
+    # the phantom variable n pads each check past its real entries
+    real = g.check_vars != g.n
+    assert (g.n, g.check_vars.shape[0], int(real.sum())) == (5, 3, 6)
     assert g.check_vars.tolist() == [[1, 3, 4], [0, 5, 5], [1, 4, 5]]
-    assert g.check_valid.tolist() == [[True, True, True],
-                                      [True, False, False],
-                                      [True, True, False]]
+    assert real.tolist() == [[True, True, True],
+                             [True, False, False],
+                             [True, True, False]]
     # flat slots c*width + j in ascending check order; 9 is the zero slot,
     # and column 2 is in no check
     assert g.var_slots.tolist() == [[3, 9], [0, 6], [9, 9], [1, 9], [2, 7]]
@@ -1283,6 +1286,68 @@ def test_counts_must_be_integers(call, name):
     # a float count would fail inside numpy or range, and True run as 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+def _h74_pool():
+    return codes.low_weight_dual_search(LinearCode(HAMMING_74_H), 7)
+
+
+@pytest.mark.parametrize("call, message", [
+    # each bound's message names the argument and ends in its value
+    (lambda: BpConfig(iterations=0), "iterations must be at least 1, got 0"),
+    (lambda: osd_decode_batch(LinearCode(HAMMING_74_H), np.ones((2, 7)), -1),
+     "order must be non-negative, got -1"),
+    (lambda: construct_code_with_automorphism(8, 4, -1, seed=0),
+     "delta_obj must be non-negative, got -1"),
+    (lambda: construct_code_with_automorphism(8, 4, 0, seed=0,
+                                              max_resamples=0),
+     "max_resamples must be at least 1, got 0"),
+    # public entries that raised a bare TypeError or ran True as 1
+    (lambda: stack_redundant_pcm(LinearCode(HAMMING_74_H), _h74_pool(), 2.5),
+     "ell must be an integer, got 2.5"),
+    (lambda: stack_redundant_pcm(LinearCode(HAMMING_74_H), _h74_pool(), True),
+     "ell must be an integer, got True"),
+    (lambda: stack_redundant_pcm(LinearCode(HAMMING_74_H), _h74_pool(), 0),
+     "ell must be at least 1, got 0"),
+    (lambda: codes.low_weight_dual_search(LinearCode(HAMMING_74_H), 2.5),
+     "target_count must be an integer, got 2.5"),
+    (lambda: codes.low_weight_dual_search(LinearCode(HAMMING_74_H), True),
+     "target_count must be an integer, got True"),
+    (lambda: codes.low_weight_dual_search(LinearCode(HAMMING_74_H), 0),
+     "target_count must be at least 1, got 0"),
+    (lambda: codes.low_weight_dual_search(LinearCode(HAMMING_74_H), 4,
+                                          seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: codes.low_weight_dual_search(LinearCode(HAMMING_74_H), 4,
+                                          seed=-1),
+     "seed must be non-negative, got -1"),
+    (lambda: codes.optimize_pcm(LinearCode(HAMMING_74_H), _h74_pool(),
+                                seed=True),
+     "seed must be an integer, got True"),
+    (lambda: codes.optimize_pcm(LinearCode(HAMMING_74_H), _h74_pool(),
+                                seed=-1),
+     "seed must be non-negative, got -1"),
+    (lambda: sample_sparse_invertible(4.0, 6, 0),
+     "n must be an integer, got 4.0"),
+    (lambda: sample_sparse_invertible(True, 1, 0),
+     "n must be an integer, got True"),
+    (lambda: sample_sparse_invertible(-1, 0, 0),
+     "n must be non-negative, got -1"),
+    (lambda: sample_sparse_invertible(4, 6.5, 0),
+     "omega_obj must be an integer, got 6.5"),
+    (lambda: power_ensemble(GeneralizedAutomorphism.identity(7), 5),
+     "powers must be a sequence, got 5"),
+    (lambda: power_ensemble(GeneralizedAutomorphism.identity(7), "01"),
+     "powers must be a sequence, got '01'"),
+    (lambda: power_ensemble(GeneralizedAutomorphism.identity(7), (0, 1.5)),
+     "powers must be integers, got (0, 1.5)"),
+    (lambda: power_ensemble(GeneralizedAutomorphism.identity(7), (0, True)),
+     "powers must be integers, got (0, True)"),
+])
+def test_counts_fail_by_name_and_value(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_ml_decode_is_argmax_over_the_table():

@@ -40,6 +40,9 @@ def test_basic_identities():
     assert str(ZERO) == "0"
     with pytest.raises(ValueError):
         Gf2Poly(-1)
+    assert f ** 0 == ONE and f ** 2 == f * f
+    with pytest.raises(ValueError, match="non-negative exponent"):
+        f ** -1
 
 
 def test_mul_matches_naive():

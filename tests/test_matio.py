@@ -122,6 +122,16 @@ def test_alist_errors(tmp_path):
     p.write_text("2 2\n1 1\n1 1\n1 1\n3\n1\n1\n2\n")
     with pytest.raises(ValueError, match="out of range"):
         read_alist(p)
+    # column 0 lists no row, but its degree is 1
+    p.write_text("2 2\n1 1\n1 1\n1 1\n0\n2\n1\n2\n")
+    with pytest.raises(ValueError, match="column 0 degree mismatch"):
+        read_alist(p)
+    p.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n3\n2\n")
+    with pytest.raises(ValueError, match="column index 3 out of range"):
+        read_alist(p)
+    p.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n0\n2\n")
+    with pytest.raises(ValueError, match="row 0 degree mismatch"):
+        read_alist(p)
     p.write_text("2 2\n1 1\n1 1\n1 1\nx\n1\n1\n2\n")
     with pytest.raises(ValueError, match="non-integer"):
         read_alist(p)
