@@ -161,7 +161,6 @@ def _typed_key(text: str, key: str, parse, listed: bool = False):
 _SIM_FIELDS = {
     "iterations": (DecoderSpec, "iterations", int, False),
     "normalization": (DecoderSpec, "normalization", float, False),
-    "early_stop": (DecoderSpec, "early_stop", _bool, False),
     "ell": (DecoderSpec, "ell", int, False),
     "osd_order": (DecoderSpec, "osd_order", int, False),
     "gaed_powers": (DecoderSpec, "powers", int, True),

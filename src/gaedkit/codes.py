@@ -147,6 +147,8 @@ def _iter_span(rows: list[int], n: int
 
 def weight_distribution(rows: list[int], n: int) -> list[int]:
     """Weight counts of the span of the given rows (must be independent)."""
+    if len(list(independent_rows(rows))) < len(rows):
+        raise ValueError("weight_distribution needs independent rows")
     counts = np.zeros(n + 1, dtype=np.int64)
     for _, weights in _iter_span(rows, n):
         counts += np.bincount(weights, minlength=n + 1)
@@ -243,6 +245,9 @@ class DualWordPool:
     n: int
 
     def __post_init__(self) -> None:
+        _check_count("n", self.n, 0)
+        for w in self.words:
+            _check_count("pool word", w)
         words = sorted(set(self.words), key=lambda w: (w.bit_count(), w))
         bad = [w for w in words if w < 1 or w >> self.n]
         if bad:

@@ -24,8 +24,8 @@ from .automorphisms import GeneralizedAutomorphism, verify_automorphism
 from .channel import LLR_CLAMP, LlrVector, check_llr_batch
 from .codes import (DualWordPool, LinearCode, _correlation, certified_ml,
                     check_pool)
-from .gf2 import (BitMatrix, _as_tuple, _check_bools, _check_count,
-                  _is_integer, independent_rows, rank)
+from .gf2 import (BitMatrix, _as_tuple, _check_count, _is_integer,
+                  independent_rows, rank)
 from .osd import osd_decode_batch
 
 
@@ -93,7 +93,6 @@ class BpConfig:
 
     iterations: int
     normalization: float = 0.75
-    early_stop: bool = True
 
     def __post_init__(self) -> None:
         _check_count("iterations", self.iterations, 1)
@@ -104,7 +103,6 @@ class BpConfig:
             raise ValueError(f"normalization must be a number, got {norm!r}")
         if not 0.0 < norm <= 1.0:
             raise ValueError("normalization must be in (0, 1]")
-        _check_bools(self, "early_stop")
 
 
 class DecodeOutcome(NamedTuple):
@@ -173,8 +171,8 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
     """Flooding normalized min-sum over the edges of a Tanner graph.
 
     Returns (hard_bits, is_codeword, iterations_used) arrays over the batch.
-    A frame leaves once it is a codeword when early_stop is on, and after
-    cfg.iterations in any case, reporting its final state.
+    A frame leaves at its first iteration whose hard decision is a
+    codeword, or after cfg.iterations, reporting its final state.
 
     At most `_live_cap` frames are in flight. Frames enter in input order
     as live ones leave, each with its own iteration count, so a batch pays
@@ -253,7 +251,7 @@ def bp_min_sum_batch(graph: TannerGraph, llrs: np.ndarray, cfg: BpConfig
         total[:n] += acc
         hard = total < 0.0
         valid = ~np.logical_xor.reduce(hard[check_vars], axis=1).any(axis=0)
-        done = (its == cfg.iterations) | (valid & cfg.early_stop)
+        done = (its == cfg.iterations) | valid
         if done.any():
             gone = idx[done]
             out_hard[gone] = hard[:n, done].T

@@ -60,7 +60,8 @@ def _is_integer(value) -> bool:
 def _check_count(name: str, value, low: int | None = None) -> None:
     """The one count rule: value must pass `_is_integer` and, when low is
     given, be at least low. Each error names the argument and its value."""
-    if not _is_integer(value):
+    # exact ints first: BitMatrix and Gf2Poly check a count per instance
+    if type(value) is not int and not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
@@ -90,14 +91,13 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "_bits")
 
     def __init__(self, row_bits: Iterable[int], cols: int):
+        _check_count("cols", cols, 0)
         bits = tuple(row_bits)
         try:
             bits = tuple(map(index, bits))  # ints or numpy integers only
         except TypeError:
             i = next(i for i, r in enumerate(bits) if not hasattr(type(r), "__index__"))
             raise ValueError(f"row {i} must be an integer, got {bits[i]!r}") from None
-        if cols < 0:
-            raise ValueError("cols must be non-negative")
         limit = 1 << cols
         for r in bits:
             if r < 0 or r >= limit:
@@ -109,32 +109,24 @@ class BitMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls((0,) * rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
+        _check_count("n", n, 0)
         return cls((1 << i for i in range(n)), n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        """Build from nested 0/1 sequences (row-major)."""
-        if not rows:
-            return cls((), 0)
-        cols = len(rows[0])
-        bits = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            bits.append(sum((int(v) & 1) << j for j, v in enumerate(row)))
-        return cls(bits, cols)
+        """Build from nested 0/1 sequences (row-major); no rows is 0x0."""
+        return cls.from_numpy(np.array(rows) if len(rows) else np.empty((0, 0)))
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "BitMatrix":
+        """Build from a 2-D array whose entries are all 0 or 1."""
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(words_to_ints(bits_to_words(a & 1)), a.shape[1])
+        if ((a != 0) & (a != 1)).any():
+            raise ValueError("entries must be 0 or 1")
+        return cls(words_to_ints(bits_to_words(a != 0)), a.shape[1])
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
@@ -165,11 +157,6 @@ class BitMatrix:
     def row_bits(self, i: int) -> int:
         return self._bits[i]
 
-    def get(self, i: int, j: int) -> int:
-        _checked([i], self.rows, "row")
-        _checked([j], self.cols, "column")
-        return (self._bits[i] >> j) & 1
-
     def __iter__(self):
         return iter(self._bits)
 
@@ -195,13 +182,6 @@ class BitMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return BitMatrix((a ^ b for a, b in zip(self._bits, other._bits)), self.cols)
-
-    __add__ = __xor__
-
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
@@ -215,8 +195,7 @@ class BitMatrix:
         """Matrix power for e >= 0 (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("power requires a square matrix")
-        if e < 0:
-            raise ValueError("negative powers need an explicit inverse")
+        _check_count("e", e, 0)
         result = BitMatrix.identity(self.rows)
         base = self
         while e:
@@ -225,15 +204,6 @@ class BitMatrix:
             base = base @ base
             e >>= 1
         return result
-
-    def mat_vec(self, v: int) -> int:
-        """Product with a column vector given as a bitset (bit i = entry i)."""
-        if v < 0 or v >> self.cols:
-            raise ValueError("vector out of range")
-        out = 0
-        for i, r in enumerate(self._bits):
-            out |= ((r & v).bit_count() & 1) << i
-        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -245,18 +215,17 @@ class BitMatrix:
         idx = _checked(idx, self.cols, "column")
         return BitMatrix.from_numpy(self.to_numpy()[:, idx])
 
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("width mismatch")
-        return BitMatrix(self._bits + other._bits, self.cols)
-
     def to_numpy(self) -> np.ndarray:
         return words_to_bits(ints_to_words(self._bits, self.cols), self.cols)
 
 
 def _checked(idx: Sequence[int], size: int, axis: str) -> np.ndarray:
-    """idx as intp, or IndexError naming its first entry outside 0..size-1."""
-    idx = np.asarray(idx, dtype=np.intp)
+    """idx as intp, or IndexError naming its first entry outside 0..size-1.
+    A bool or float entry is refused: numpy would read it as 1 or 0."""
+    arr = np.asarray(idx)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{axis} indices must be integers, got {idx!r}")
+    idx = arr.astype(np.intp)
     bad = idx[(idx < 0) | (idx >= size)]
     if bad.size:
         raise IndexError(f"{axis} {bad[0]} out of range for {size} {axis}s")

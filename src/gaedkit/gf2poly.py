@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import Reducer
+from .gf2 import Reducer, _check_count
 
 
 def _even_bit_mask(nbits: int) -> int:
@@ -26,8 +26,7 @@ class Gf2Poly:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("polynomial bits must be non-negative")
+        _check_count("bits", self.bits, 0)
 
     @property
     def degree(self) -> int:
@@ -56,8 +55,7 @@ class Gf2Poly:
         return Gf2Poly(acc)
 
     def __pow__(self, e: int) -> "Gf2Poly":
-        if e < 0:
-            raise ValueError("polynomial powers need a non-negative exponent")
+        _check_count("e", e, 0)
         out = ONE
         for _ in range(e):
             out = out * self

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,16 +115,22 @@ def read_alist(path) -> BitMatrix:
 
 
 def write_kv(pairs: dict, path) -> None:
-    """Flat key = value text, one pair per line."""
+    """Flat key = value text, one pair per line. A pair that `read_kv`
+    would not read back, with a newline or a # after whitespace, raises."""
     lines = [f"{k} = {v}" for k, v in pairs.items()]
+    for line in lines:
+        if re.search(r"\n|\s#", line):
+            raise ValueError(f"{line!r} does not read back as key = value")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_kv(path) -> dict[str, str]:
+    """key = value pairs; a # at line start or after whitespace begins a
+    comment, so `out = a.csv  # note` reads `a.csv` and `a#b` stays whole."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")

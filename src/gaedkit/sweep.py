@@ -67,7 +67,6 @@ class DecoderSpec:
     kind: str
     iterations: int = 20
     normalization: float = BpConfig.normalization
-    early_stop: bool = BpConfig.early_stop
     ell: int = 3
     osd_order: int = 3
     powers: tuple[int, ...] = (0, 1, -1)
@@ -77,7 +76,7 @@ class DecoderSpec:
             raise ValueError(f"unknown decoder {self.kind!r}; decoder must "
                              f"be one of {', '.join(_KINDS)}")
         # BpConfig owns the rule for the BP settings
-        BpConfig(self.iterations, self.normalization, self.early_stop)
+        BpConfig(self.iterations, self.normalization)
         _check_count("ell", self.ell, 1)
         _check_count("osd_order", self.osd_order, 0)
         # power_ensemble's rule; a tuple, so that the spec hashes
@@ -144,9 +143,7 @@ class _Runtime:
     def __init__(self, code: LinearCode, spec: DecoderSpec,
                  aut: GeneralizedAutomorphism | None):
         self.code = code
-        cfg = BpConfig(iterations=spec.iterations,
-                       normalization=spec.normalization,
-                       early_stop=spec.early_stop)
+        cfg = BpConfig(spec.iterations, spec.normalization)
         h = code.h
         # a given automorphism must fit the code whatever the decoder kind
         if aut is not None and aut.n != code.n:

@@ -52,7 +52,7 @@ def test_wrapper_properties():
     with pytest.raises(ValueError, match="inverse does not match"):
         GeneralizedAutomorphism(m, BitMatrix.identity(6))
     with pytest.raises(ValueError, match="square"):
-        GeneralizedAutomorphism(BitMatrix.zeros(2, 3), BitMatrix.zeros(3, 2))
+        GeneralizedAutomorphism(BitMatrix([0, 0], 3), BitMatrix([0] * 3, 2))
 
 
 def test_verify_matches_membership_random():
@@ -208,7 +208,7 @@ def test_z_block_matrix_validation():
     with pytest.raises(ValueError, match="bad block split"):
         ZBlockMatrix(BitMatrix.identity(3), 3)
     with pytest.raises(ValueError, match="inconsistent"):
-        ZBlockMatrix.from_blocks(BitMatrix.identity(2), BitMatrix.zeros(2, 2),
+        ZBlockMatrix.from_blocks(BitMatrix.identity(2), BitMatrix([0, 0], 2),
                                  BitMatrix.identity(3))
 
 

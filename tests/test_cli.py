@@ -313,9 +313,11 @@ def test_simulate_bp_to_stdout(tmp_path, capsys):
     # the same H read from a code directory without T.txt: bp needs no T
     (tmp_path / "no_t").mkdir()
     write_dense(HAMMING_74_H, tmp_path / "no_t" / "H.txt")
+    # a comment after the value, as in the README's example, is no part
+    # of the path
     write_sim_config(cfgf, [
-        "dir = no_t", "decoder = bp", "iterations = 5",
-        "ebn0_db = 2.0,4.0", "min_frame_errors = 20", "max_frames = 2048",
+        "dir = no_t          # a code directory", "decoder = bp",
+        "iterations = 5", "ebn0_db = 2.0,4.0", "min_frame_errors = 20", "max_frames = 2048",
         "seed = 5",
     ])
     assert main(["simulate", str(cfgf)]) == 0
@@ -330,7 +332,7 @@ def test_simulate_writes_file_and_is_count_deterministic(tmp_path, capsys):
     write_sim_config(cfgf, [
         "h = H.txt", "decoder = bp", "iterations = 5", "ebn0_db = 3.0",
         "min_frame_errors = 20", "max_frames = 2048", "seed = 9",
-        "out = run.csv",
+        "out = run.csv   # omit to print the CSV to stdout",
     ])
     assert main(["simulate", str(cfgf)]) == 0
     first = (tmp_path / "run.csv").read_text()
@@ -341,6 +343,22 @@ def test_simulate_writes_file_and_is_count_deterministic(tmp_path, capsys):
     strip = [ln.rsplit(",", 1)[0] for ln in first.strip().splitlines()]
     strip2 = [ln.rsplit(",", 1)[0] for ln in second.strip().splitlines()]
     assert strip == strip2
+
+
+def test_readme_simulate_example_parses():
+    # the documented example config, read as simulate reads it
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.cfg"
+        path.write_text(block)
+        raw = read_kv(path)
+    assert set(raw) <= cli._SIM_KEYS
+    for key, (_, _, parse, listed) in cli._SIM_FIELDS.items():
+        if key in raw:
+            cli._typed_key(raw[key], key, parse, listed)
+    assert (raw["dir"], raw["decoder"], raw["out"]) == \
+        ("runs/c32", "gaed", "gaed.csv")
 
 
 def test_simulate_gaed_from_construct_dir(tmp_path, capsys):
@@ -360,8 +378,7 @@ def test_simulate_gaed_from_construct_dir(tmp_path, capsys):
 # every simulate key besides the paths, decoder and ebn0_db, at the default
 # the README states for it
 README_SIM_DEFAULTS = [
-    "iterations = 20", "normalization = 0.75", "early_stop = true",
-    "ell = 3", "osd_order = 3", "gaed_powers = 0,1,-1",
+    "iterations = 20", "normalization = 0.75", "ell = 3", "osd_order = 3", "gaed_powers = 0,1,-1",
     "min_frame_errors = 300", "max_frames = 1000000", "seed = 0",
     "workers = 1", "random_codewords = false",
 ]
@@ -492,10 +509,13 @@ def test_simulate_config_validation(tmp_path, capsys, no_frames):
         (["h = H.txt", "decoder = bp", "ebn0_db = 3, nan"], "finite"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0, inf"], "finite"),
         (["h = H.txt", "decoder = bp", "ebn0_db = -inf"], "finite"),
-        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "early_stop = maybe"],
-         "early_stop must be one of true, false, 1, 0, yes, no, got 'maybe'"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0",
-          "random_codewords = maybe"], "random_codewords must be one of"),
+          "random_codewords = maybe"],
+         "random_codewords must be one of true, false, 1, 0, yes, no, "
+         "got 'maybe'"),
+        # BP always stops at its first codeword: the switch is gone
+        (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "early_stop = true"],
+         "unknown config keys: early_stop"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "iterations = ten"],
          "iterations must be an integer, got 'ten'"),
         (["h = H.txt", "decoder = bp", "ebn0_db = 1.0", "max_frames = 1e3"],

@@ -59,11 +59,12 @@ def test_construction_and_validation():
     c = hamming74()
     assert (c.n, c.k) == (7, 4)
     assert c.rate == pytest.approx(4 / 7)
-    assert c.h @ c.g.transpose() == BitMatrix.zeros(3, 4)
+    assert (c.h @ c.g.transpose()).shape == (3, 4)
+    assert (c.h @ c.g.transpose()).is_zero()
     with pytest.raises(ValueError, match="rank deficient"):
         LinearCode.from_pcm(BitMatrix.from_rows([[1, 1, 0], [1, 1, 0]]))
     with pytest.raises(ValueError, match="not usable"):
-        LinearCode.from_pcm(BitMatrix.zeros(0, 3))
+        LinearCode.from_pcm(BitMatrix([], 3))
     with pytest.raises(ValueError, match="rank deficient"):
         LinearCode(BitMatrix([0b011, 0b011], 3))
 
@@ -75,9 +76,7 @@ def test_encode_and_contains():
         msg = rng.integers(0, 2, size=c.k, dtype=np.uint8)
         cw = c.encode(msg)
         assert cw.shape == (7,)
-        assert c.h.mat_vec(bits_to_int(cw)) == 0
-    assert c.h.mat_vec(0) == 0
-    assert c.h.mat_vec(1) != 0  # weight-1 word cannot be a codeword at d=3
+        assert not (c.h.to_numpy() @ cw % 2).any()
     with pytest.raises(ValueError, match="4 bits"):
         c.encode([1, 0])
     # no entry other than 0 or 1 may count by its low bit or truncate
@@ -92,7 +91,7 @@ def test_codeword_table():
     assert table.shape == (16, 7)
     words = {bits_to_int(row) for row in table}
     assert len(words) == 16
-    assert all(c.h.mat_vec(w) == 0 for w in words)
+    assert (c.h @ BitMatrix(words, 7).transpose()).is_zero()
     # closure under addition
     rows = list(words)
     assert all((a ^ b) in words for a in rows[:6] for b in rows[:6])
@@ -108,6 +107,14 @@ def test_weight_distribution_hamming():
     # the dual of the (7,4) Hamming code is the simplex code: seven weight-4 words
     hrows = [c.h.row_bits(i) for i in range(3)]
     assert weight_distribution(hrows, c.n) == [1, 0, 0, 0, 7, 0, 0, 0]
+
+
+def test_weight_distribution_rejects_dependent_rows():
+    # [1, 1] once counted the zero word and the word 1 twice each
+    for rows in ([1, 1], [0b011, 0b101, 0b110], [0]):
+        with pytest.raises(ValueError, match="independent rows"):
+            weight_distribution(rows, 3)
+    assert weight_distribution([], 2) == [1, 0, 0]
 
 
 def test_weight_distribution_matches_enumeration():
@@ -379,8 +386,8 @@ def test_four_cycle_count_matches_brute():
             for j in range(i + 1, m.rows):
                 for a in range(m.cols):
                     for b in range(a + 1, m.cols):
-                        if (m.get(i, a) and m.get(i, b)
-                                and m.get(j, a) and m.get(j, b)):
+                        both = 1 << a | 1 << b
+                        if m.row_bits(i) & m.row_bits(j) & both == both:
                             total += 1
         return total
 
@@ -419,7 +426,7 @@ def test_optimize_pcm_preserves_code_and_lowers_weight():
         better = optimize_pcm(c, pool, seed=1)
         r = c.n - c.k
         assert better.n == c.n and better.k == c.k
-        assert rank(better.h.vstack(c.h)) == r     # same row space
+        assert rank(BitMatrix([*better.h, *c.h], c.n)) == r  # same row space
         assert better.h.weight <= c.h.weight
         # greedy over the full dual pool reaches the lightest possible basis
         again = optimize_pcm(c, pool, seed=1)
@@ -494,7 +501,7 @@ def test_check_pool_matches_generator_product(c, seed):
 
     def agrees(words):
         pool = DualWordPool(tuple(words), c.n)
-        if any(c.g.mat_vec(w) for w in pool.words):
+        if not (c.g @ BitMatrix(pool.words, c.n).transpose()).is_zero():
             with pytest.raises(ValueError, match="outside the dual code"):
                 check_pool(c, pool)
         else:
@@ -534,7 +541,7 @@ def greedy_trials_oracle(c, pool, seed):
         if best is None or score < best:
             best, best_rows = score, rows
     new_h = BitMatrix(best_rows, c.n)
-    if rank(new_h.vstack(c.h)) != r:
+    if rank(BitMatrix([*new_h, *c.h], c.n)) != r:
         raise AssertionError("optimized PCM changed the code")
     return best_rows, best, LinearCode.from_pcm(new_h)
 
@@ -615,7 +622,7 @@ def test_optimize_pcm_rejects_bad_pools():
 
 def padded_hamming():
     """(9, 4) code whose last two coordinates are zero in every codeword."""
-    rows = [[*(HAMMING_74_H.get(i, j) for j in range(7)), 0, 0] for i in range(3)]
+    rows = [[*HAMMING_74_H.to_numpy()[i], 0, 0] for i in range(3)]
     rows.append([0] * 7 + [1, 0])
     rows.append([0] * 8 + [1])
     return LinearCode.from_pcm(BitMatrix.from_rows(rows))

@@ -95,7 +95,7 @@ def test_deterministic():
 
 def test_rejects_non_square():
     with pytest.raises(ValueError):
-        frobenius_normal_form(BitMatrix.zeros(2, 3))
+        frobenius_normal_form(BitMatrix([0, 0], 3))
 
 
 # -- properties -----------------------------------------------------------

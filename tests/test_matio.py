@@ -41,7 +41,7 @@ def test_dense_writer_matches_per_bit_oracle(tmp_path):
     p = tmp_path / "d.txt"
     for cols in range(1, 131):
         m = random_matrix(rng, int(rng.integers(1, 6)), cols)
-        for case in (m, BitMatrix.zeros(2, cols),
+        for case in (m, BitMatrix([0, 0], cols),
                      BitMatrix([(1 << cols) - 1], cols)):
             write_dense(case, p)
             assert p.read_bytes() == per_bit_dense_text(case).encode()
@@ -147,12 +147,23 @@ def test_kv_roundtrip(tmp_path):
     write_kv(pairs, p)
     got = read_kv(p)
     assert got == {"n": "32", "k": "16", "label": "run a", "empty": ""}
+    # read_kv would cut these at the comment or split them across lines
+    for value in ("run #1", "#1", "a\nb"):
+        with pytest.raises(ValueError, match="does not read back"):
+            write_kv({"label": value}, p)
+    write_kv({"label": "a#b"}, p)
+    assert read_kv(p) == {"label": "a#b"}
 
 
 def test_kv_ignores_comments_and_blanks(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("# heading\n\na = 1\n  # indented comment\nb = two words \n")
     assert read_kv(p) == {"a": "1", "b": "two words"}
+    # a # after whitespace begins a comment too; values once kept it
+    p.write_text("out = bp.csv   # omit to print\ndir = runs/c32\t# tab\n"
+                 "tag = a#b\nempty =  # nothing\n#k = v\n")
+    assert read_kv(p) == {"out": "bp.csv", "dir": "runs/c32", "tag": "a#b",
+                          "empty": ""}
 
 
 def test_kv_errors(tmp_path):

@@ -81,11 +81,6 @@ def test_decoder_spec_validation():
     for bad in ((0, 0, 1), (1, -1, np.int64(1))):
         with pytest.raises(ValueError, match="powers must be distinct"):
             DecoderSpec("gaed", powers=bad)
-    # an integer once made BP loop forever, indexing its live set
-    for bad in (0, 1, np.int64(1), 1.0, "yes", None):
-        with pytest.raises(ValueError, match="early_stop must be a bool"):
-            DecoderSpec("bp", early_stop=bad)
-    assert DecoderSpec("bp", early_stop=np.True_).early_stop
     # powers follow ebn0_db's rule: a sequence, kept as a tuple so that the
     # frozen spec hashes
     for bad in (5, np.int64(5), "01", None):
