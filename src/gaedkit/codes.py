@@ -11,18 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .gf2 import (BitMatrix, Reducer, _check_count, independent_rows,
+from .gf2 import (BitMatrix, Reducer, _check_count, independent_rows, invert,
                   ints_to_words, null_space_basis, rank, words_to_bits,
                   words_to_ints, xor_rows)
 
 # combinations of this many rows form one packed enumeration chunk
 _CHUNK_BITS = 18
 _PCM_TRIALS = 32  # optimize_pcm's tie-break orders; its output depends on it
-_MAX_PRIMAL = 26  # min_distance enumerates 2^k codewords up to this k
+_MAX_PRIMAL = 26  # min_distance searches G's information sets up to this k
 _MAX_DUAL = 24    # and otherwise 2^(n-k) dual words up to this n - k
 
 
@@ -117,11 +118,28 @@ def _combination_table(rows: list[int], n: int) -> np.ndarray:
     return table
 
 
+def _weight_dtype(n: int) -> type:
+    """The narrowest unsigned dtype that holds every weight 0..n."""
+    return np.uint8 if n < 256 else np.uint16
+
+
+def _weights(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Popcounts of the packed words along their last axis, into out."""
+    # a popcount per word column: a sum along the short word axis of a
+    # (rows, words) count array is several times slower
+    np.bitwise_count(words[..., 0], out=out)
+    if words.shape[-1] > 1:
+        counts = np.empty(out.shape, dtype=np.uint8)
+        for j in range(1, words.shape[-1]):
+            np.add(out, np.bitwise_count(words[..., j], out=counts), out=out)
+    return out
+
+
 def _iter_span(rows: list[int], n: int
                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (packed words, int64 weights) chunks covering all 2^len(rows)
-    XOR combinations of the rows, one chunk per combination of the rows
-    above the first _CHUNK_BITS.
+    """Yield (packed words, weights) chunks covering all 2^len(rows) XOR
+    combinations of the rows, one chunk per combination of the rows above
+    the first _CHUNK_BITS. Weights are in `_weight_dtype(n)`.
 
     Both arrays are buffers allocated once and refilled for the next chunk,
     so they are valid only until the iterator resumes: a caller that keeps
@@ -131,18 +149,11 @@ def _iter_span(rows: list[int], n: int
     table = _combination_table(rows[:low], n)
     bases = _combination_table(rows[low:], n)
     chunk = np.empty_like(table) if len(bases) > 1 else table
-    weights = np.empty(len(table), dtype=np.int64)
-    counts = np.empty(len(table), dtype=np.uint8)
+    weights = np.empty(len(table), dtype=_weight_dtype(n))
     for base in bases:
         if chunk is not table:
             np.bitwise_xor(table, base, out=chunk)
-        # a popcount per word column: a sum along the short word axis of a
-        # (rows, words) count array is several times slower
-        np.bitwise_count(chunk[:, 0], out=weights)
-        for j in range(1, chunk.shape[1]):
-            np.add(weights, np.bitwise_count(chunk[:, j], out=counts),
-                   out=weights)
-        yield chunk, weights
+        yield chunk, _weights(chunk, weights)
 
 
 def weight_distribution(rows: list[int], n: int) -> list[int]:
@@ -156,21 +167,81 @@ def weight_distribution(rows: list[int], n: int) -> list[int]:
 
 
 def min_distance(c: LinearCode) -> int:
-    """Minimum Hamming distance by exhaustive search.
+    """Minimum Hamming distance, exact.
 
-    Enumerates the 2^k codewords when k is small; otherwise enumerates the
+    When k is small, a Brouwer-Zimmermann search over disjoint information
+    sets of G (`_information_set_distance`); otherwise enumerates the
     2^(n-k) dual words and converts the dual weight distribution through the
     exact integer MacWilliams transform. Raises when both sides are too big.
     """
     r = c.n - c.k
     if c.k <= _MAX_PRIMAL:
-        dist = weight_distribution([c.g.row_bits(i) for i in range(c.k)], c.n)
-    elif r <= _MAX_DUAL:
-        dual = weight_distribution([c.h.row_bits(i) for i in range(r)], c.n)
-        dist = _macwilliams(dual, c.n, r)
-    else:
+        return _information_set_distance(c.g)
+    if r > _MAX_DUAL:
         raise ValueError(f"instance too large: k={c.k}, n-k={r}")
-    return next(j for j in range(1, c.n + 1) if dist[j] > 0)
+    dual = weight_distribution([c.h.row_bits(i) for i in range(r)], c.n)
+    return _lightest(_macwilliams(dual, c.n, r))
+
+
+def _lightest(dist: list[int]) -> int:
+    """The least nonzero weight that a weight distribution counts."""
+    return next(j for j in range(1, len(dist)) if dist[j])
+
+
+def _information_set_distance(g: BitMatrix) -> int:
+    """The least weight of a nonzero word of G's span, by the
+    Brouwer-Zimmermann search over disjoint information sets (Zimmermann
+    1996; Grassl, "Searching for linear codes with large minimum distance",
+    2006).
+
+    Each information set Gamma_j is a maximal independent set of the
+    columns of G that no earlier set holds, of rank r_j. G_j = A_j G is the
+    basis of the span that is the identity on Gamma_j in its first r_j rows
+    and zero there in the other k - r_j. Once every sum of at most p rows of
+    every G_j is seen, a word not seen is a sum of over p rows of each G_j,
+    over p - (k - r_j) of them nonzero on Gamma_j, so it weighs at least
+    sum_j max(0, p + 1 - (k - r_j)) on the disjoint sets. The lightest word
+    seen is the distance once it weighs no more than that; at p = k the
+    bound exceeds the number of nonzero columns, so the search always ends.
+
+    Level p holds the sums of exactly p rows of each G_j, ordered by the
+    last row added: those ending in row s are row s plus the first
+    C(s, p - 1) sums of level p - 1, the ones ending below s. When a level
+    would hold more than one enumeration chunk of words, the search ends
+    with the chunked walk over all 2^k words instead.
+    """
+    k, n = g.shape
+    cols = list(g.transpose())
+    free = list(range(n))
+    ranks, gens = [], []
+    while picked := [free[i] for i in independent_rows(cols[j] for j in free)]:
+        # A_j inverts the basis that starts with Gamma_j's columns and is
+        # completed by unit vectors
+        basis = [cols[j] for j in picked] + [1 << i for i in range(k)]
+        a = invert(BitMatrix([basis[i] for i in independent_rows(basis)], k))
+        gens.append(ints_to_words(list(a.transpose() @ g), n))
+        ranks.append(len(picked))
+        taken = set(picked)
+        free = [j for j in free if j not in taken]
+    rows = np.stack(gens)       # (sets, k, words)
+    level = np.zeros((len(gens), 1, rows.shape[2]), dtype=np.uint64)
+    best = n
+    p = 0
+    while len(gens) * comb(k, p + 1) <= 1 << _CHUNK_BITS:
+        p += 1
+        nxt = np.empty((len(gens), comb(k, p), rows.shape[2]), dtype=np.uint64)
+        at = 0
+        for s in range(p - 1, k):
+            size = comb(s, p - 1)
+            np.bitwise_xor(level[:, :size], rows[:, s, None],
+                           out=nxt[:, at:at + size])
+            at += size
+        level = nxt
+        weights = np.empty(level.shape[:2], dtype=_weight_dtype(n))
+        best = min(best, int(_weights(level, weights).min()))
+        if sum(max(0, p + 1 - (k - r)) for r in ranks) >= best:
+            return best
+    return _lightest(weight_distribution(list(g), n))
 
 
 def _correlation(hard: np.ndarray, llrs: np.ndarray) -> np.ndarray:
@@ -262,12 +333,13 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
 
     When n-k <= _MAX_DUAL, all 2^(n-k) dual words are enumerated and the
     result is the first target_count nonzero words in (weight, value) order.
-    For each chunk of the enumeration the weight histogram and the cutoff
-    are updated first: the cutoff is the smallest weight by which the words
-    seen so far already fill the target, since no heavier word can make the
-    pool. Only then is the chunk filtered, so only its words at or under the
-    cutoff are copied out, as packed arrays; only the returned words are
-    converted to ints.
+    The cutoff is the smallest weight by which the words seen so far
+    already fill the target, since no heavier word can make the pool. It
+    depends only on the counts at or under it, so once it is below n, each
+    chunk is filtered by it before its words are counted, and the histogram
+    holds the kept words alone. After the cutoff is updated from the
+    chunk's counts, only its words at or under it are copied out, as packed
+    arrays; only the returned words are converted to ints.
 
     Above that a seeded random-combination search over H's rows runs
     instead; its pool holds fewer than target_count words when the
@@ -283,12 +355,15 @@ def low_weight_dual_search(c: LinearCode, target_count: int,
         packed: list[np.ndarray] = []
         weights: list[np.ndarray] = []
         for chunk, w in _iter_span(hrows, c.n):
-            hist += np.bincount(w, minlength=c.n + 1)
+            near = np.flatnonzero(w <= cutoff) if cutoff < c.n else None
+            hist += np.bincount(w if near is None else w[near],
+                                minlength=c.n + 1)
             # hist[0] counts the zero word, which is no pool word
             cutoff = min(cutoff, 1 + int(np.searchsorted(
                 np.cumsum(hist[1:]), target_count)))
             # row indices: a boolean mask over 2-D rows is several times slower
-            keep = np.flatnonzero(w <= cutoff)
+            keep = (np.flatnonzero(w <= cutoff) if near is None
+                    else near[w[near] <= cutoff])
             packed.append(chunk[keep])
             weights.append(w[keep])
         p, w = np.concatenate(packed), np.concatenate(weights)

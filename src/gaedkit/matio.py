@@ -10,6 +10,15 @@ import numpy as np
 from .gf2 import BitMatrix
 
 
+def _parse_int(path, tok: str, what: str) -> int:
+    """tok as an int by the one rule of both formats: an optional minus
+    sign, then ASCII digits. str.isdigit would also pass "²", which int()
+    then refuses without naming the file."""
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise ValueError(f"{path}: non-integer token {tok!r} in {what}")
+    return int(tok)
+
+
 def write_dense(m: BitMatrix, path) -> None:
     """Dense format: first line "rows cols", then one 0/1 string per row."""
     lines = [f"{m.rows} {m.cols}"]
@@ -24,9 +33,11 @@ def read_dense(path) -> BitMatrix:
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     head = lines[0].split()
-    if len(head) != 2 or not all(p.isdigit() for p in head):
+    if len(head) != 2:
         raise ValueError(f"{path}: header must be 'rows cols'")
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = (_parse_int(path, tok, "header") for tok in head)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{path}: negative size in header")
     if len(lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} rows, found {len(lines) - 1}")
     bits = []
@@ -68,9 +79,7 @@ def read_alist(path) -> BitMatrix:
             tok = next(it, None)
             if tok is None:
                 raise ValueError(f"{path}: ran out of data reading {what}")
-            if not tok.lstrip("-").isdigit():
-                raise ValueError(f"{path}: non-integer token {tok!r} in {what}")
-            vals.append(int(tok))
+            vals.append(_parse_int(path, tok, what))
         return vals
 
     cols, rows = take(2, "header")

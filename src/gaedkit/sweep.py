@@ -19,7 +19,6 @@ last iterations once per round, not once per chunk.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -224,6 +223,9 @@ def run_sweep(code: LinearCode, spec: DecoderSpec, cfg: SweepConfig, *,
     with ExitStack() as stack:
         run = map
         if cfg.workers > 1:
+            # imported here: it loads multiprocessing, which only pools need
+            from concurrent.futures import ProcessPoolExecutor
+
             # a fork pool starts all workers at once; a round's tasks suffice
             run = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(cfg.workers, _CHUNKS_PER_ROUND))).map

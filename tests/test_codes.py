@@ -16,7 +16,8 @@ from gaedkit.codes import (DualWordPool, LinearCode, ReductionError,
                            low_weight_dual_search, min_distance, optimize_pcm,
                            reduce_zero_columns, weight_distribution)
 from gaedkit.decoders import stack_redundant_pcm
-from gaedkit.gf2 import BitMatrix, Reducer, independent_rows, rank, xor_rows
+from gaedkit.gf2 import (BitMatrix, Reducer, independent_rows,
+                         null_space_basis, rank, xor_rows)
 
 HAMMING_74_H = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -125,6 +126,9 @@ def test_weight_distribution_matches_enumeration():
         counts = np.bincount(table.sum(axis=1), minlength=c.n + 1)
         grows = [c.g.row_bits(i) for i in range(c.k)]
         assert weight_distribution(grows, c.n) == counts.tolist()
+    # an all-ones row weighs n: from 256 on, more than a uint8 holds
+    for n in (255, 256, 300):
+        assert weight_distribution([(1 << n) - 1], n) == [1] + [0] * (n - 1) + [1]
 
 
 def test_weight_distribution_across_many_chunks(monkeypatch):
@@ -140,6 +144,23 @@ def test_weight_distribution_across_many_chunks(monkeypatch):
     assert min_distance(c) == min(j for j in counts if j)
 
 
+def generator_code(rng, n, k, zero=0, repeat=0):
+    """A random (n, k) code whose G has `zero` all-zero columns and
+    `repeat` columns that copy another, at random positions."""
+    while True:
+        g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+        g[:, :zero] = 0
+        g[:, zero:zero + repeat] = g[:, n - repeat:]
+        g = BitMatrix.from_numpy(g[:, rng.permutation(n)])
+        if rank(g) == k:
+            return LinearCode(null_space_basis(g))
+
+
+def enumerated_distance(c):
+    return next(j for j, count in
+                enumerate(weight_distribution(list(c.g), c.n)) if j and count)
+
+
 def test_min_distance_primal_vs_dual(monkeypatch):
     rng = np.random.default_rng(52)
     cases = [hamming74()] + [random_code(rng, int(rng.integers(5, 15)),
@@ -147,6 +168,37 @@ def test_min_distance_primal_vs_dual(monkeypatch):
                              for _ in range(40)]
     primals = [min_distance(c) for c in cases]
     assert primals[0] == 3
+    # the information-set search against the weight distribution; 65 and
+    # 130 columns take two and three packed words
+    shapes = [(n, 1) for n in (2, 9, 65, 130)]
+    shapes += [(n, n - 1) for n in (2, 9, 21)]
+    shapes += [(40, 19), (50, 20), (65, 21), (130, 22), (65, 8), (130, 12)]
+    wide = []
+    for n, k in shapes:
+        wide.append(generator_code(rng, n, k))
+        if n - k >= 3:
+            wide.append(generator_code(rng, n, k, zero=1, repeat=2))
+    # near rate 1/3 the lightest word is often found only at the level
+    # where the bound first reaches it, so a bound one too high shows
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(n, 16)))
+        zero = int(rng.integers(0, min(n - k, 2) + 1))
+        repeat = int(rng.integers(0, min(n - k - zero, 2) + 1))
+        wide.append(generator_code(rng, n, k, zero, repeat))
+    for c in wide:
+        assert min_distance(c) == enumerated_distance(c), c
+    # 8-word levels: past them the search ends with the chunked walk
+    fallbacks = []
+    with monkeypatch.context() as m:
+        m.setattr(codes, "_CHUNK_BITS", 3)
+        m.setattr(codes, "weight_distribution",
+                  lambda rows, n: fallbacks.append(n) or
+                  weight_distribution(rows, n))
+        small = [c for c in wide if c.k <= 12]
+        for c in small:
+            assert min_distance(c) == enumerated_distance(c), c
+    assert 0 < len(fallbacks) < len(small)
     monkeypatch.setattr(codes, "_MAX_PRIMAL", 0)  # the MacWilliams route
     for c, primal in zip(cases, primals):
         dual = min_distance(c)
@@ -237,7 +289,8 @@ def test_low_weight_search_matches_sorted_enumeration():
     # one to three packed words per dual word; r = 19 spans two enumeration
     # chunks of 2^18 words, so the cutoff also falls across a chunk boundary
     cases = [(n, int(rng.integers(3, min(n - 1, 12) + 1)))
-             for n in (8, 63, 64, 65, 100, 130) for _ in range(2)]
+             for n in (8, 63, 64, 65, 100, 130, 255, 256, 300)
+             for _ in range(2)]
     cases += [(40, 19)]
     for n, r in cases:
         c = random_code(rng, n, r)
@@ -248,6 +301,13 @@ def test_low_weight_search_matches_sorted_enumeration():
         for target in targets:
             pool = low_weight_dual_search(c, target)
             assert pool == sorted_enumeration_oracle(c, target), (n, r, target)
+    # an all-ones check row weighs n, which a uint8 holds only up to 255
+    for n in (255, 256, 300):
+        c = LinearCode(BitMatrix([(1 << n) - 1, *BitMatrix.random(3, n, rng)],
+                                 n))
+        for target in (1, 7, 16):
+            pool = low_weight_dual_search(c, target)
+            assert pool == sorted_enumeration_oracle(c, target), (n, target)
 
 
 def test_low_weight_search_across_many_chunks(monkeypatch):

@@ -1,9 +1,12 @@
 """numpy is the only runtime dependency, in the imports and in the
-metadata, no module keeps hidden state behind a `global` statement, and
-the modules import each other without a cycle."""
+metadata, no module keeps hidden state behind a `global` statement, the
+modules import each other without a cycle, and importing the package
+loads no process-pool machinery."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,3 +92,14 @@ def test_declared_dependencies_are_numpy_only():
     names = [re.match(r"[A-Za-z0-9_.-]+", req).group()
              for req in meta["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_import_loads_no_multiprocessing():
+    # only a sweep with workers > 1 needs a process pool; loading
+    # multiprocessing at import would slow the start of every process
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, gaedkit; print(sorted(m for m in sys.modules " \
+            "if m.partition('.')[0] == 'multiprocessing'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

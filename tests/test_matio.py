@@ -62,6 +62,14 @@ def test_dense_errors(tmp_path):
     p.write_text("2\n10\n01\n")
     with pytest.raises(ValueError, match="header"):
         read_dense(p)
+    # "²".isdigit() is true, but int() refuses it without naming the file
+    p.write_text("2 \u00b2\n10\n01\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.txt: non-integer token '\u00b2' in header"):
+        read_dense(p)
+    p.write_text("-1 2\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: negative size in header"):
+        read_dense(p)
     p.write_text("2 2\n10\n")
     with pytest.raises(ValueError, match="expected 2 rows"):
         read_dense(p)
@@ -134,6 +142,12 @@ def test_alist_errors(tmp_path):
         read_alist(p)
     p.write_text("2 2\n1 1\n1 1\n1 1\nx\n1\n1\n2\n")
     with pytest.raises(ValueError, match="non-integer"):
+        read_alist(p)
+    # "--1".lstrip("-") is all digits, but int() refuses it without naming
+    # the file
+    p.write_text("2 --1\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.alist: non-integer token '--1' in header"):
         read_alist(p)
     # a valid file followed by one more token
     p.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n0\n")

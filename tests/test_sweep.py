@@ -1,5 +1,6 @@
 """Monte-Carlo sweep engine: determinism, stopping rules, CSV schema."""
 
+import concurrent.futures
 import math
 import pickle
 
@@ -277,7 +278,9 @@ def fake_pool(monkeypatch):
             log["groups"].append([len(task[-1]) for task in tasks])
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     return log
 
 
